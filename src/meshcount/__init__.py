@@ -74,10 +74,12 @@ from .matching import (
 )
 from .metrics import (
     CountPair,
+    MatchCounts,
     MatchResult,
     ScoredDetection,
     agreement_filtered_counts,
     box_matcher,
+    dataset_pr_curve_and_ap,
     game,
     hungarian,
     mae,

@@ -29,15 +29,15 @@ from .geometry import (
 from .matching import distance_filter, default_max_dist, ratio_match, to_correspondences
 from .metrics import (
     CountPair,
-    MatchResult,
     agreement_filtered_counts,
+    box_matcher,
+    dataset_pr_curve_and_ap,
     game,
     mae,
     mare,
-    match_boxes,
-    match_points,
     mean_ap,
     mse,
+    point_matcher,
     precision_recall_f1,
     rmse,
 )
@@ -179,6 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command bodies ---------------------------------------------------------------
 
 
+def _ransac_params(args) -> RansacParams:
+    return RansacParams(max_iterations=args.max_iter, inlier_threshold=args.threshold,
+                        confidence=args.confidence, seed=args.seed)
+
+
 def _cmd_calibrate(args) -> int:
     if args.correspondences:
         corrs = io.read_correspondences_csv(args.correspondences)
@@ -193,13 +198,7 @@ def _cmd_calibrate(args) -> int:
         cutoff = args.max_dist if args.max_dist is not None else default_max_dist(matches)
         matches = distance_filter(matches, cutoff)
         corrs = to_correspondences(fa, fb, matches)
-    params = RansacParams(
-        max_iterations=args.max_iter,
-        inlier_threshold=args.threshold,
-        confidence=args.confidence,
-        seed=args.seed,
-    )
-    h, mask = ransac_homography(corrs, params)
+    h, mask = ransac_homography(corrs, _ransac_params(args))
     io.write_homography_json(args.out, h)
     inliers = [c for c, keep in zip(corrs, mask) if keep]
     err = symmetric_transfer_error(h, inliers)
@@ -209,18 +208,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _protocol_config(args) -> ProtocolConfig:
-    return ProtocolConfig(
-        tau=args.tau,
-        aggregation=args.agg,
-        ransac=RansacParams(
-            max_iterations=args.max_iter,
-            inlier_threshold=args.threshold,
-            confidence=args.confidence,
-            seed=args.seed,
-        ),
-        ratio=args.ratio,
-        max_dist=args.max_dist,
-    )
+    return ProtocolConfig(tau=args.tau, aggregation=args.agg, ransac=_ransac_params(args),
+                          ratio=args.ratio, max_dist=args.max_dist)
 
 
 def _cmd_simulate(args) -> int:
@@ -280,38 +269,47 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _points_to_delta_map(points, width, height) -> DensityMap:
+def _delta_map(rows, width, height) -> DensityMap:
     grid = np.zeros((height, width))
-    for p in points:
-        grid[int(p.y), int(p.x)] += 1.0
+    for r in rows:
+        grid[int(r["geom"].y), int(r["geom"].x)] += 1.0
     return DensityMap(grid)
 
 
+def _write_metrics(out, rows) -> int:
+    io.write_table(out, ["metric", "value"], rows)
+    for name, value in rows:
+        print(f"{name}={value}")
+    return 0
+
+
+def _by_image(preds, gts):
+    """(prediction rows, ground-truth rows) per image, images in sorted order."""
+    groups = {}
+    for side, rows in enumerate((preds, gts)):
+        for r in rows:
+            groups.setdefault(r["image_id"], ([], []))[side].append(r)
+    return [groups[img] for img in sorted(groups)]
+
+
 def _cmd_eval_count(args) -> int:
-    preds = io.read_detections_csv(args.pred)
-    gts = io.read_detections_csv(args.gt)
-    images = sorted({r["image_id"] for r in preds} | {r["image_id"] for r in gts})
+    # predictions under the score threshold are dropped once, for counts and maps
+    groups = [
+        ([r for r in p_rows if r["score"] >= args.score_threshold], g_rows)
+        for p_rows, g_rows in _by_image(io.read_detections_csv(args.pred),
+                                        io.read_detections_csv(args.gt))
+    ]
     pairs = []
-    pred_by_img = {img: [r for r in preds if r["image_id"] == img] for img in images}
-    gt_by_img = {img: [r for r in gts if r["image_id"] == img] for img in images}
-    for img in images:
-        p_rows = pred_by_img[img]
-        g_rows = gt_by_img[img]
+    for kept, g_rows in groups:
         if args.min_agreement is not None:
             # rows without an agreement column count as agreed by everyone
             agreements = [r["agreement"] if r["agreement"] is not None else args.k
                           for r in g_rows]
-            pairs.append(
-                agreement_filtered_counts(
-                    [r["score"] for r in p_rows],
-                    agreements,
-                    k=args.k,
-                    min_agreement=args.min_agreement,
-                    score_threshold=args.score_threshold,
-                )
-            )
+            pairs.append(agreement_filtered_counts(
+                [r["score"] for r in kept], agreements, k=args.k,
+                min_agreement=args.min_agreement, score_threshold=args.score_threshold,
+            ))
         else:
-            kept = [r for r in p_rows if r["score"] >= args.score_threshold]
             pairs.append(CountPair(gt=float(len(g_rows)), pred=float(len(kept))))
     rows = [["mae", mae(pairs)], ["mse", mse(pairs)], ["rmse", rmse(pairs)]]
     try:
@@ -323,96 +321,30 @@ def _cmd_eval_count(args) -> int:
         if not (args.width and args.height):
             print("eval-count: GAME needs --width and --height", file=sys.stderr)
             return 1
-        pred_maps, gt_maps = [], []
-        for img in images:
-            kept = [r["geom"] for r in pred_by_img[img] if r["score"] >= args.score_threshold]
-            pred_maps.append(_points_to_delta_map(kept, args.width, args.height))
-            gt_maps.append(
-                _points_to_delta_map([r["geom"] for r in gt_by_img[img]], args.width, args.height)
-            )
+        pred_maps = [_delta_map(kept, args.width, args.height) for kept, _ in groups]
+        gt_maps = [_delta_map(g_rows, args.width, args.height) for _, g_rows in groups]
         rows.append([f"game{args.game}", game(pred_maps, gt_maps, args.game)])
-    io.write_table(args.out, ["metric", "value"], rows)
-    for name, value in rows:
-        print(f"{name}={value}")
-    return 0
-
-
-def _split_by_image(records):
-    out = {}
-    for r in records:
-        out.setdefault(r["image_id"], []).append(r)
-    return out
-
-
-def _multi_image_ap(pred_rows, gt_rows, match_one) -> tuple[float, MatchResult]:
-    """Dataset AP (right-envelope) plus the match at the lowest threshold."""
-    preds_by_img = _split_by_image(pred_rows)
-    gts_by_img = _split_by_image(gt_rows)
-    images = sorted(set(preds_by_img) | set(gts_by_img))
-
-    def match_all(min_score):
-        tp = fp = fn = 0
-        pairs = []
-        for img in images:
-            kept = [r for r in preds_by_img.get(img, []) if r["score"] >= min_score]
-            m = match_one(kept, gts_by_img.get(img, []))
-            tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
-            pairs.extend((img, i, j, c) for i, j, c in m.pairs)
-        return tp, fp, fn, pairs
-
-    scores = sorted({r["score"] for r in pred_rows}, reverse=True)
-    curve = []
-    for t in scores:
-        tp, fp, fn, _ = match_all(t)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        curve.append((recall, precision))
-    ap = 0.0
-    prev = 0.0
-    for r in sorted({r for r, _ in curve if r > 0}):
-        ap += (r - prev) * max(p for rr, p in curve if rr >= r)
-        prev = r
-    if scores:
-        tp, fp, fn, pairs = match_all(min(scores))
-    else:
-        tp, fp, fn, pairs = 0, 0, len(gt_rows), []
-    final = MatchResult(
-        tp=tp, fp=fp, fn=fn, pairs=tuple((i, j, c) for (_, i, j, c) in pairs)
-    )
-    return ap, final
+    return _write_metrics(args.out, rows)
 
 
 def _cmd_eval_detect(args) -> int:
     preds = io.read_detections_csv(args.pred)
     gts = io.read_detections_csv(args.gt)
     classes = sorted({r["class_id"] for r in preds} | {r["class_id"] for r in gts})
-
-    def make_matcher():
-        if args.mode == "box":
-            return lambda kept, gt_rows: match_boxes(
-                io.detections_to_scored(kept), [r["geom"] for r in gt_rows], args.iou_threshold
-            )
-        return lambda kept, gt_rows: match_points(
-            io.detections_to_scored(kept), [r["geom"] for r in gt_rows], args.radius
-        )
-
+    matcher = box_matcher(args.iou_threshold) if args.mode == "box" else point_matcher(args.radius)
     rows = []
     aps = []
     for cls in classes:
-        p_rows = [r for r in preds if r["class_id"] == cls]
-        g_rows = [r for r in gts if r["class_id"] == cls]
-        ap, final = _multi_image_ap(p_rows, g_rows, make_matcher())
-        precision, recall, f1 = precision_recall_f1(final)
+        groups = _by_image([r for r in preds if r["class_id"] == cls],
+                           [r for r in gts if r["class_id"] == cls])
+        _, ap, final = dataset_pr_curve_and_ap(
+            [(io.detections_to_scored(p), [r["geom"] for r in g]) for p, g in groups], matcher
+        )
         aps.append(ap)
-        rows.append([f"class{cls}_precision", precision])
-        rows.append([f"class{cls}_recall", recall])
-        rows.append([f"class{cls}_f1", f1])
-        rows.append([f"class{cls}_ap", ap])
+        values = (*precision_recall_f1(final), ap)
+        rows += [[f"class{cls}_{k}", v] for k, v in zip(("precision", "recall", "f1", "ap"), values)]
     rows.append(["map", mean_ap(aps)])
-    io.write_table(args.out, ["metric", "value"], rows)
-    for name, value in rows:
-        print(f"{name}={value}")
-    return 0
+    return _write_metrics(args.out, rows)
 
 
 def _cmd_rescore_train(args) -> int:
@@ -444,10 +376,7 @@ def _cmd_rescore_eval(args) -> int:
     if args.threshold is not None:
         kept = sum(1 for s in scores if s >= args.threshold)
         rows.append(["kept_at_threshold", kept])
-    io.write_table(args.out, ["metric", "value"], rows)
-    for name, value in rows:
-        print(f"{name}={value}")
-    return 0
+    return _write_metrics(args.out, rows)
 
 
 def _cmd_sanitize_bboxes(args) -> int:

@@ -37,6 +37,20 @@ def _parse_float(cell: str, line: int, column: int) -> float:
         raise ParseError(f"expected a number, got {cell!r}", line=line, column=column) from exc
 
 
+def _parse_int(cell: str, line: int, column: int) -> int:
+    try:
+        return int(cell)
+    except ValueError as exc:
+        raise ParseError(f"expected an integer, got {cell!r}", line=line, column=column) from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+
+
 def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -249,11 +263,11 @@ def read_detections_csv(path):
         out.append(
             {
                 "image_id": row[0],
-                "class_id": int(row[1]),
+                "class_id": _parse_int(row[1], ln, 2),
                 "score": _parse_float(row[score_at], ln, score_at + 1)
                 if score_at is not None
                 else 1.0,
-                "agreement": int(row[agreement_at])
+                "agreement": _parse_int(row[agreement_at], ln, agreement_at + 1)
                 if agreement_at is not None and row[agreement_at] != ""
                 else None,
                 "geom": geom,
@@ -315,10 +329,7 @@ def write_scenario_json(path, scenario: Scenario):
 
 def read_scenario_json(path) -> Scenario:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = _read_json(path)
     if "nodes" not in doc:
         raise ParseError("scenario lacks a nodes list", line=1, column=1)
     nodes = []
@@ -390,10 +401,7 @@ def write_model_json(path, model: ScorerModel):
 
 
 def read_model_json(path) -> ScorerModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = _read_json(path)
     for key in ("head", "weights", "bias"):
         if key not in doc:
             raise ParseError(f"model lacks {key!r}", line=1, column=1)
@@ -425,10 +433,7 @@ def read_samples_csv(path):
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != dim + 1:
             raise ParseError(f"expected {dim + 1} cells, got {len(row)}", line=ln, column=len(row) + 1)
-        try:
-            agreement = int(row[0])
-        except ValueError as exc:
-            raise ParseError(f"agreement must be an integer, got {row[0]!r}", line=ln, column=1) from exc
+        agreement = _parse_int(row[0], ln, 1)
         feats = [_parse_float(c, ln, i + 2) for i, c in enumerate(row[1:])]
         out.append(AgreementSample(np.array(feats), agreement))
     return out
@@ -502,10 +507,7 @@ def write_homography_json(path, h: Homography):
 
 
 def read_homography_json(path) -> Homography:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = _read_json(path)
     if "matrix" not in doc:
         raise ParseError("homography file lacks 'matrix'", line=1, column=1)
     return Homography(doc["matrix"])

@@ -3,8 +3,10 @@ box and point matching, precision/recall, AP, and agreement filtering."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,12 @@ class ScoredDetection:
             raise ValueError("score must lie in [0, 1]")
         if self.class_id < 0:
             raise ValueError("class_id must be >= 0")
+
+
+class MatchCounts(NamedTuple):
+    tp: int
+    fp: int
+    fn: int
 
 
 @dataclass(frozen=True)
@@ -179,9 +187,8 @@ def match_boxes(preds, gts, iou_threshold: float) -> MatchResult:
     preds, gts = list(preds), list(gts)
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in (0, 1]")
-    for d in preds:
-        if not isinstance(d.shape, Polygon):
-            raise ValueError("box matching needs Polygon prediction shapes")
+    if not all(isinstance(d.shape, Polygon) for d in preds):
+        raise ValueError("box matching needs Polygon prediction shapes")
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     free = [True] * len(gts)
     pairs = []
@@ -251,6 +258,18 @@ def hungarian(cost: np.ndarray):
     return assignment
 
 
+def _gated_distances(preds, gts, radius: float):
+    """Prediction-to-truth distances and the gate mask (True: never pairs)."""
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if not all(isinstance(d.shape, Point2) for d in preds):
+        raise ValueError("point matching needs Point2 prediction shapes")
+    p = np.array([[d.shape.x, d.shape.y] for d in preds]).reshape(-1, 2)
+    g = np.array([[q.x, q.y] for q in gts]).reshape(-1, 2)
+    dist = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
+    return dist, dist > GATE_FACTOR * radius
+
+
 def match_points(preds, gts, radius: float) -> MatchResult:
     """Hungarian point matching under Euclidean cost with distance gating.
 
@@ -259,19 +278,10 @@ def match_points(preds, gts, radius: float) -> MatchResult:
     Pairs carry the Euclidean distance.
     """
     preds, gts = list(preds), list(gts)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    for d in preds:
-        if not isinstance(d.shape, Point2):
-            raise ValueError("point matching needs Point2 prediction shapes")
-    np_, ng = len(preds), len(gts)
+    dist, gated = _gated_distances(preds, gts, radius)
+    np_, ng = dist.shape
     if np_ == 0 or ng == 0:
         return MatchResult(tp=0, fp=np_, fn=ng, pairs=())
-    p = np.array([[d.shape.x, d.shape.y] for d in preds])
-    g = np.array([[q.x, q.y] for q in gts])
-    dist = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
-    gate = GATE_FACTOR * radius
-    gated = dist > gate
     # gated pairs get a cost that dominates every possible real-cost sum,
     # capped at the 1e18 sentinel; float64 keeps the arithmetic exact at
     # desk scale so optimality among equally gated assignments survives
@@ -292,54 +302,111 @@ def match_points(preds, gts, radius: float) -> MatchResult:
     return MatchResult(tp=tp, fp=np_ - tp, fn=ng - tp, pairs=tuple(pairs))
 
 
-def precision_recall_f1(m: MatchResult):
-    """Standard precision, recall and F1 with the 0/0 := 0 convention."""
+def precision_recall_f1(m):
+    """Precision, recall and F1 of a MatchResult or MatchCounts; 0/0 := 0."""
     precision = m.tp / (m.tp + m.fp) if (m.tp + m.fp) > 0 else 0.0
     recall = m.tp / (m.tp + m.fn) if (m.tp + m.fn) > 0 else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if (precision + recall) > 0
-        else 0.0
-    )
+    f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
     return precision, recall, f1
 
 
 # -- PR curve and AP -----------------------------------------------------------
 
 
-def box_matcher(iou_threshold: float):
-    return lambda preds, gts: match_boxes(preds, gts, iou_threshold)
+@dataclass(frozen=True)
+class BoxMatcher:
+    """Greedy box matching at one IoU threshold, callable as (preds, gts)."""
+
+    iou_threshold: float
+
+    def __call__(self, preds, gts) -> MatchResult:
+        return match_boxes(preds, gts, self.iou_threshold)
+
+    def hits(self, ranked, gts) -> list:
+        """Hit flag per prediction of ``ranked``, from one greedy pass.
+
+        Greedy decisions on a prefix of the ranking never depend on the rest.
+        """
+        matched = {i for i, _, _ in self(ranked, gts).pairs}
+        return [i in matched for i in range(len(ranked))]
 
 
-def point_matcher(radius: float):
-    return lambda preds, gts: match_points(preds, gts, radius)
+@dataclass(frozen=True)
+class PointMatcher:
+    """Gated Hungarian point matching at one radius, callable as (preds, gts)."""
+
+    radius: float
+
+    def __call__(self, preds, gts) -> MatchResult:
+        return match_points(preds, gts, self.radius)
+
+    def hits(self, ranked, gts) -> list:
+        """Hit flag per prediction of ``ranked``, from one matching pass.
+
+        Each prediction in turn grows a maximum matching of the gate graph by
+        an augmenting path (Kuhn), so the flags up to rank k sum to the
+        maximum for the first k. A gated pair costs more than any sum of real
+        costs, so that maximum is the ``match_points`` count on the prefix.
+        """
+        _, gated = _gated_distances(ranked, gts, self.radius)
+        near = [np.flatnonzero(row).tolist() for row in ~gated]
+        owner, mate = [-1] * len(gts), [-1] * len(ranked)  # the matching, seen from each side
+
+        def augment(root: int) -> bool:  # breadth-first: long paths need no recursion
+            via = {}  # truth -> the prediction the search reached it from
+            queue = [root]
+            for u in queue:
+                for j in near[u]:
+                    if j in via:
+                        continue
+                    via[j] = u
+                    if owner[j] < 0:
+                        while j >= 0:  # flip the path back to the root
+                            u = via[j]
+                            owner[j], mate[u], j = u, j, mate[u]
+                        return True
+                    queue.append(owner[j])
+            return False
+
+        return [augment(root) for root in range(len(ranked))]
+
+
+box_matcher = BoxMatcher
+point_matcher = PointMatcher
+
+
+def dataset_pr_curve_and_ap(groups, matcher):
+    """Pooled precision-recall curve, right-envelope AP and final counts.
+
+    ``groups`` holds one (preds, gts) pair per image. Each image is matched
+    once, on its predictions ranked by (-score, index); a score threshold
+    keeps a prefix of every ranking, so the curve sums the hit flags up to
+    each distinct score (descending). AP sums, over the unique recall steps,
+    the recall increment times the best precision at that recall or beyond.
+    Returns (curve, ap, ``MatchCounts`` at the lowest threshold).
+    """
+    scored, n_gts = [], 0  # (score, hit) of every prediction; truth count
+    for preds, gts in groups:
+        ranked, gts = sorted(preds, key=lambda p: -p.score), list(gts)  # stable: ties by index
+        scored += zip([p.score for p in ranked], matcher.hits(ranked, gts))
+        n_gts += len(gts)
+    scored.sort(key=lambda sh: -sh[0])
+    curve, tp = [], 0
+    for k, (score, hit) in enumerate(scored):
+        tp += hit
+        if k + 1 == len(scored) or scored[k + 1][0] != score:
+            curve.append((tp / n_gts if n_gts else 0.0, tp / (k + 1)))
+    envelope = list(itertools.accumulate((p for _, p in reversed(curve)), max))[::-1]
+    ap = prev_r = 0.0
+    for (r, _), best_p in zip(curve, envelope):
+        if r > prev_r:  # recall never falls along the curve
+            ap, prev_r = ap + (r - prev_r) * best_p, r
+    return curve, ap, MatchCounts(tp, len(scored) - tp, n_gts - tp)
 
 
 def pr_curve_and_ap(preds, gts, matcher):
-    """Precision-recall curve over score thresholds plus smoothed AP.
-
-    The threshold sweeps every distinct prediction score (descending); AP
-    sums, over the unique recall steps, the recall increment times the best
-    precision attained at that recall or beyond (right-envelope smoothing).
-    """
-    preds = list(preds)
-    gts = list(gts)
-    if not preds:
-        return [], 0.0
-    thresholds = sorted({p.score for p in preds}, reverse=True)
-    curve = []
-    for t in thresholds:
-        kept = [p for p in preds if p.score >= t]
-        precision, recall, _ = precision_recall_f1(matcher(kept, gts))
-        curve.append((recall, precision))
-    recalls = sorted({r for r, _ in curve if r > 0})
-    ap = 0.0
-    prev_r = 0.0
-    for r in recalls:
-        best_p = max(p for rr, p in curve if rr >= r)
-        ap += (r - prev_r) * best_p
-        prev_r = r
-    return curve, float(ap)
+    """The curve and AP of ``dataset_pr_curve_and_ap`` for one image."""
+    return dataset_pr_curve_and_ap([(preds, gts)], matcher)[:2]
 
 
 def mean_ap(per_class_ap) -> float:
@@ -360,14 +427,13 @@ def mean_ap_iou_sweep(preds, gts_by_class, iou_thresholds=None) -> float:
     iou_thresholds = list(iou_thresholds)
     if not iou_thresholds:
         raise EmptyInput("no IoU thresholds")
-    per_threshold = []
-    for t in iou_thresholds:
-        aps = []
-        for cls, gts in sorted(gts_by_class.items()):
-            cls_preds = [p for p in preds if p.class_id == cls]
-            _, ap = pr_curve_and_ap(cls_preds, gts, box_matcher(t))
-            aps.append(ap)
-        per_threshold.append(mean_ap(aps))
+    per_threshold = [
+        mean_ap(
+            pr_curve_and_ap([p for p in preds if p.class_id == cls], gts, box_matcher(t))[1]
+            for cls, gts in sorted(gts_by_class.items())
+        )
+        for t in iou_thresholds
+    ]
     return float(np.mean(per_threshold))
 
 

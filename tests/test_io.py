@@ -204,6 +204,20 @@ class TestDetectionsCsv:
         with pytest.raises(ParseError):
             io.read_detections_csv(path)
 
+    def test_non_integer_class_id_rejected_with_position(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("image_id,class_id,score,geom\nimg0,0,0.5,1.0,2.0\nimg0,x,0.5,1.0,2.0\n")
+        with pytest.raises(ParseError) as info:
+            io.read_detections_csv(path)
+        assert (info.value.line, info.value.column) == (3, 2)
+
+    def test_non_integer_agreement_rejected_with_position(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("image_id,class_id,score,agreement,geom\nimg0,0,0.5,2.5,1.0,2.0\n")
+        with pytest.raises(ParseError) as info:
+            io.read_detections_csv(path)
+        assert (info.value.line, info.value.column) == (2, 4)
+
 
 class TestSkeletonCsv:
     def test_read_with_and_without_measured_height(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshcount.density import DensityMap
 from meshcount.errors import EmptyInput, ShapeMismatch, TooSmall, ZeroGroundTruth
@@ -13,6 +14,7 @@ from meshcount.metrics import (
     ScoredDetection,
     agreement_filtered_counts,
     box_matcher,
+    dataset_pr_curve_and_ap,
     game,
     hungarian,
     mae,
@@ -350,6 +352,94 @@ class TestAveragePrecision:
         ]
         _, ap2 = pr_curve_and_ap(squashed, gts, point_matcher(1.0))
         assert ap1 == pytest.approx(ap2, abs=1e-12)
+
+
+def pooled_oracle(groups, matcher):
+    """Threshold enumeration: match every image again at every distinct score."""
+    thresholds = sorted({p.score for preds, _ in groups for p in preds}, reverse=True)
+    curve = []
+    counts = (0, 0, sum(len(gts) for _, gts in groups))
+    for t in thresholds:
+        ms = [matcher([p for p in preds if p.score >= t], gts) for preds, gts in groups]
+        counts = tp, fp, fn = tuple(sum(getattr(m, k) for m in ms) for k in ("tp", "fp", "fn"))
+        curve.append((tp / (tp + fn) if tp + fn else 0.0, tp / (tp + fp) if tp + fp else 0.0))
+    ap = 0.0
+    prev = 0.0
+    for r in sorted({r for r, _ in curve if r > 0}):
+        ap += (r - prev) * max(p for rr, p in curve if rr >= r)
+        prev = r
+    return curve, ap, counts
+
+
+SCORES = st.sampled_from([0.25, 0.5, 0.75, 1.0])  # few values, so scores tie
+COORD = st.integers(0, 24).map(lambda v: v / 2.0)
+
+
+@st.composite
+def detection_groups(draw, mode):
+    """Per-image (preds, gts) on a coarse grid: overlaps, ties and empty images."""
+    def shape(x, y):
+        if mode == "point":
+            return Point2(x, y)
+        return Polygon.box(x, y, x + draw(st.integers(1, 4)), y + draw(st.integers(1, 4)))
+
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        gts = [shape(draw(COORD), draw(COORD)) for _ in range(draw(st.integers(0, 5)))]
+        preds = [
+            ScoredDetection(shape(draw(COORD), draw(COORD)), draw(SCORES))
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+        groups.append((preds, gts))
+    return groups
+
+
+class TestDatasetAp:
+    @settings(max_examples=150, deadline=None)
+    @given(detection_groups("box"), st.sampled_from([0.1, 0.3, 0.5]))
+    def test_boxes_equal_threshold_enumeration(self, groups, t):
+        got = dataset_pr_curve_and_ap(groups, box_matcher(t))
+        assert got == pooled_oracle(groups, box_matcher(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_groups("point"), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_points_equal_threshold_enumeration(self, groups, radius):
+        got = dataset_pr_curve_and_ap(groups, point_matcher(radius))
+        assert got == pooled_oracle(groups, point_matcher(radius))
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_groups("point"), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_point_prefix_hits_equal_hungarian(self, groups, radius):
+        for preds, gts in groups:
+            ranked = sorted(preds, key=lambda p: -p.score)
+            hits = point_matcher(radius).hits(ranked, gts)
+            for k in range(len(ranked) + 1):
+                assert sum(hits[:k]) == match_points(ranked[:k], gts, radius).tp
+
+    def test_single_image_call_is_pr_curve_and_ap(self):
+        gts = [Polygon.box(0, 0, 2, 2), Polygon.box(4, 4, 6, 6)]
+        preds = [det_box(0, 0, 2, 2, 0.9), det_box(9, 9, 11, 11, 0.9), det_box(4, 4, 6, 6, 0.2)]
+        curve, ap, counts = dataset_pr_curve_and_ap([(preds, gts)], box_matcher(0.5))
+        assert pr_curve_and_ap(preds, gts, box_matcher(0.5)) == (curve, ap)
+        assert counts == (2, 1, 0)
+
+    def test_tied_scores_rank_by_index(self):
+        # whichever of the tied boxes goes first decides whether both match
+        gts = [Polygon.box(0, 0, 4, 4), Polygon.box(2, 0, 6, 4)]
+        a, b = det_box(0, 0, 4, 4, 0.5), det_box(-1, 0, 3, 4, 0.5)
+        for preds, want in (([a, b], [(0.5, 0.5)]), ([b, a], [(1.0, 1.0)])):
+            curve, _, _ = dataset_pr_curve_and_ap([(preds, gts)], box_matcher(0.3))
+            assert curve == want == pooled_oracle([(preds, gts)], box_matcher(0.3))[0]
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # prediction i sits between truths i - 1 and i; the lowest-scored one
+        # reaches only truth 0, so its augmenting path crosses every pair
+        n = 2000
+        gts = [Point2(float(i), 0.0) for i in range(n)]
+        preds = [det_point(i - 0.5, 0.0, 1.0 - i / (2 * n)) for i in range(1, n)]
+        preds.append(det_point(-0.5, 0.0, 0.1))
+        hits = point_matcher(0.5).hits(preds, gts)
+        assert hits == [True] * n
 
 
 class TestMeanAp:
