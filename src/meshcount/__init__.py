@@ -61,7 +61,6 @@ from .geometry import (
     project_point,
     project_polygon,
     ransac_homography,
-    raster_iou,
     symmetric_transfer_error,
 )
 from .matching import (

@@ -1,7 +1,8 @@
 """Projective geometry kernel.
 
 Homography estimation (DLT with Hartley normalization, RANSAC), point and
-polygon projection, polygon IoU, and metric ground-plane distances.
+polygon projection, exact polygon IoU by clipping, and metric ground-plane
+distances.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Polygon:
     verifies simplicity and flips clockwise input.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "_bounds")
 
     def __init__(self, vertices):
         v = np.array([[p.x, p.y] if isinstance(p, Point2) else p for p in vertices], dtype=float)
@@ -124,6 +125,7 @@ class Polygon:
             raise ValueError("polygon is self-intersecting")
         v.setflags(write=False)
         self._v = v
+        self._bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
 
     @classmethod
     def box(cls, x0: float, y0: float, x1: float, y1: float) -> "Polygon":
@@ -153,20 +155,7 @@ class Polygon:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(x0, y0, x1, y1) of the axis-aligned bounding box."""
-        v = self._v
-        return (
-            float(v[:, 0].min()),
-            float(v[:, 1].min()),
-            float(v[:, 0].max()),
-            float(v[:, 1].max()),
-        )
-
-    def is_axis_aligned_box(self) -> bool:
-        v = self._v
-        if v.shape[0] != 4:
-            return False
-        edges = np.roll(v, -1, axis=0) - v
-        return bool(np.all((edges[:, 0] == 0.0) | (edges[:, 1] == 0.0)))
+        return self._bounds
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Even-odd test for an (n, 2) array of points."""
@@ -393,48 +382,58 @@ def ransac_homography(corrs, params: RansacParams = RansacParams()):
 # -- polygon IoU --------------------------------------------------------------
 
 
-def iou(a: Polygon, b: Polygon, grid_scale: float = 4.0) -> float:
-    """Intersection over union of two polygons, in [0, 1].
+def _clip_to_triangle(subject: list, tri: tuple) -> list:
+    """Sutherland-Hodgman: the part of ``subject`` inside a CCW triangle."""
+    out = subject
+    for k in range(3):
+        if not out:
+            break
+        (px, py), (qx, qy) = tri[k - 1], tri[k]
+        ex, ey = qx - px, qy - py
+        pts, out = out, []
+        sx, sy = pts[-1]
+        ds = ex * (sy - py) - ey * (sx - px)
+        for x, y in pts:
+            d = ex * (y - py) - ey * (x - px)
+            if (d >= 0.0) != (ds >= 0.0):
+                t = ds / (ds - d)
+                out.append((sx + t * (x - sx), sy + t * (y - sy)))
+            if d >= 0.0:
+                out.append((x, y))
+            sx, sy, ds = x, y, d
+    return out
 
-    Axis-aligned rectangles take an exact analytic path; everything else is
-    rasterized on a shared grid with ``grid_scale`` samples per pixel.
+
+def iou(a: Polygon, b: Polygon) -> float:
+    """Exact intersection over union of two simple polygons, in [0, 1].
+
+    ``b`` is clipped (Sutherland & Hodgman, CACM 1974) against each triangle
+    of a fan over ``a``; the clipped areas, summed with the triangles' signs,
+    are exact for non-convex polygons too. The pair is ordered canonically
+    first, so ``iou(a, b) == iou(b, a)`` bit for bit.
     """
-    if not grid_scale > 0:
-        raise ValueError("grid_scale must be positive")
-    if a.is_axis_aligned_box() and b.is_axis_aligned_box():
-        ax0, ay0, ax1, ay1 = a.bounds()
-        bx0, by0, bx1, by1 = b.bounds()
-        iw = min(ax1, bx1) - max(ax0, bx0)
-        ih = min(ay1, by1) - max(ay0, by0)
-        inter = max(0.0, iw) * max(0.0, ih)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-        return inter / union
-    return raster_iou(a, b, grid_scale)
-
-
-def raster_iou(a: Polygon, b: Polygon, grid_scale: float = 4.0) -> float:
-    """IoU by counting sample points on a grid covering both polygons."""
     ax0, ay0, ax1, ay1 = a.bounds()
     bx0, by0, bx1, by1 = b.bounds()
-    x0, y0 = min(ax0, bx0), min(ay0, by0)
-    x1, y1 = max(ax1, bx1), max(ay1, by1)
-    # quick reject: disjoint bounding boxes cannot intersect
-    if min(ax1, bx1) < max(ax0, bx0) or min(ay1, by1) < max(ay0, by0):
+    if min(ax1, bx1) <= max(ax0, bx0) or min(ay1, by1) <= max(ay0, by0):
         return 0.0
-    # samples sit on a global lattice so pixel-aligned edges split cells evenly
-    step = 1.0 / grid_scale
-    ix0, ix1 = math.floor(x0 / step), math.ceil(x1 / step)
-    iy0, iy1 = math.floor(y0 / step), math.ceil(y1 / step)
-    xs = (np.arange(ix0, max(ix1, ix0 + 1)) + 0.5) * step
-    ys = (np.arange(iy0, max(iy1, iy0 + 1)) + 0.5) * step
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    in_a = points_in_polygon(pts, a.vertices)
-    in_b = points_in_polygon(pts, b.vertices)
-    union = int((in_a | in_b).sum())
-    if union == 0:
-        return 0.0
-    return float((in_a & in_b).sum()) / union
+    ka, kb = a.vertices.tobytes(), b.vertices.tobytes()
+    if ka == kb:
+        return 1.0
+    if kb < ka:
+        a, b = b, a
+    (ox, oy), *fan = a.vertices.tolist()
+    subject = b.vertices.tolist()
+    inter2 = 0.0
+    for (px, py), (qx, qy) in zip(fan, fan[1:]):
+        sign = (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+        if sign == 0.0:
+            continue
+        tri = ((ox, oy), (px, py), (qx, qy)) if sign > 0.0 else ((ox, oy), (qx, qy), (px, py))
+        part = _clip_to_triangle(subject, tri)
+        area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(part, part[1:] + part[:1]))
+        inter2 += area2 if sign > 0.0 else -area2
+    inter = 0.5 * inter2
+    return min(max(inter / (a.area + b.area - inter), 0.0), 1.0)
 
 
 # -- metric ground plane ------------------------------------------------------

@@ -327,6 +327,22 @@ def write_scenario_json(path, scenario: Scenario):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _scenario_detection(d, where: str) -> Detection:
+    flat = d.get("polygon") if isinstance(d, dict) else None
+    if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2:
+        raise ParseError(f"{where} needs a 'polygon' list of 3 or more x,y pairs", line=1, column=1)
+    score, vehicle_id = d.get("score", 1.0), d.get("vehicle_id")
+    numeric = all(type(v) in (int, float) for v in [*flat, score])
+    if not numeric or type(vehicle_id) not in (int, type(None)):
+        msg = f"{where} needs numeric polygon coordinates and score, and an integer vehicle_id"
+        raise ParseError(msg, line=1, column=1)
+    try:
+        poly = Polygon(list(zip(flat[0::2], flat[1::2])))
+    except ValueError as exc:
+        raise ParseError(f"{where} polygon: {exc}", line=1, column=1) from exc
+    return Detection(polygon=poly, score=float(score), vehicle_id=vehicle_id)
+
+
 def read_scenario_json(path) -> Scenario:
     path = Path(path)
     doc = _read_json(path)
@@ -340,20 +356,19 @@ def read_scenario_json(path) -> Scenario:
         features = []
         if nd.get("features_file"):
             features = read_features_csv(path.parent / nd["features_file"])
+        if not isinstance(nd["frames"], list):
+            raise ParseError(f"node #{idx} frames must be a list", line=1, column=1)
         frames = {}
-        for fr in nd["frames"]:
-            dets = []
-            for d in fr.get("detections", []):
-                flat = d["polygon"]
-                poly = Polygon(list(zip(flat[0::2], flat[1::2])))
-                dets.append(
-                    Detection(
-                        polygon=poly,
-                        score=float(d.get("score", 1.0)),
-                        vehicle_id=d.get("vehicle_id"),
-                    )
-                )
-            frames[fr["frame_id"]] = dets
+        for fidx, fr in enumerate(nd["frames"]):
+            where = f"node #{idx} frame #{fidx}"
+            ok = isinstance(fr, dict) and type(fr.get("frame_id")) in (str, int)
+            if not ok or not isinstance(fr.get("detections", []), list):
+                msg = f"{where} needs a string or integer 'frame_id' and a 'detections' list"
+                raise ParseError(msg, line=1, column=1)
+            frames[fr["frame_id"]] = [
+                _scenario_detection(d, f"{where} detection #{didx}")
+                for didx, d in enumerate(fr.get("detections", []))
+            ]
         nodes.append(
             NodeSpec(
                 node_id=int(nd["id"]),
@@ -377,13 +392,8 @@ def read_scenario_json(path) -> Scenario:
             },
         )
     frames = doc.get("frames")
-    if frames is None:
-        seen = []
-        for nd in doc["nodes"]:
-            for fr in nd["frames"]:
-                if fr["frame_id"] not in seen:
-                    seen.append(fr["frame_id"])
-        frames = seen
+    if frames is None:  # every frame id named by some node, in order of first mention
+        frames = list(dict.fromkeys(f for node in nodes for f in node.frames))
     return Scenario(nodes=nodes, frames=frames, ground_truth=ground_truth)
 
 

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import CalibrationFailed, NoConsensus, PointAtInfinity
 from .geometry import (
     Homography,
+    Polygon,
     RansacParams,
+    _project_array,
     iou,
     points_in_polygon,
     project_polygon,
@@ -183,8 +185,8 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
     """Duplicates among ``masks_j`` as seen from node i.
 
     Each mask from j is projected onto plane i; when its centroid lands
-    inside the image, the best-IoU mask of i decides: above tau it was
-    already counted by i. Degenerate projections are skipped and tallied.
+    inside the image and some mask of i overlaps it with IoU above tau, it
+    was already counted by i. Degenerate projections are skipped and tallied.
     """
     width, height = image_shape
     mu = 0
@@ -198,12 +200,7 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
         c = projected.centroid
         if not (0.0 <= c.x < width and 0.0 <= c.y < height):
             continue
-        best = 0.0
-        for mine in masks_i:
-            v = iou(projected, mine.polygon)
-            if v > best:
-                best = v
-        if best > tau:
+        if any(iou(projected, mine.polygon) > tau for mine in masks_i):
             mu += 1
     return MuOutcome(mu=mu, skipped_projections=skipped)
 
@@ -242,31 +239,23 @@ def masking_count(scenario: Scenario, homographies, frame_id) -> int:
     """
     total = 0
     for node in scenario.nodes:
-        masked_regions = []
+        dets = node.frames.get(frame_id, [])
+        if not dets:
+            continue
+        centroids = np.array([[c.x, c.y] for c in (d.polygon.centroid for d in dets)])
+        masked = np.zeros(len(dets), dtype=bool)
         for j in node.neighbors:
-            if j >= node.node_id:
-                continue
             h_ji = homographies.get((j, node.node_id))
-            if h_ji is None:
+            if j >= node.node_id or h_ji is None:
                 continue
             other = scenario.node(j)
-            corners = np.array(
-                [[0.0, 0.0], [other.width, 0.0], [other.width, other.height], [0.0, other.height]]
-            )
-            ones = np.ones((4, 1))
-            hom = np.hstack([corners, ones]) @ h_ji.matrix.T
-            w = hom[:, 2]
-            if np.any(np.abs(w) <= 1e-12):
+            corners = Polygon.box(0.0, 0.0, other.width, other.height).vertices
+            try:
+                region = _project_array(h_ji.matrix, corners)
+            except PointAtInfinity:
                 continue
-            masked_regions.append(hom[:, :2] / w[:, None])
-        for det in node.frames.get(frame_id, []):
-            c = det.polygon.centroid
-            inside = any(
-                bool(points_in_polygon(np.array([c.x, c.y]), region))
-                for region in masked_regions
-            )
-            if not inside:
-                total += 1
+            masked |= points_in_polygon(centroids, region)
+        total += int((~masked).sum())
     return total
 
 

@@ -97,6 +97,77 @@ class TestScenePipeline:
         assert rc == 2
 
 
+GOOD_DETECTION = {"polygon": [0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0], "score": 1.0}
+
+
+class TestMalformedScenario:
+    """Every malformed frame or detection entry is a ParseError (exit 1)
+    naming the node, frame and detection index, never a traceback."""
+
+    def run_simulate(self, tmp_path, capsys, frames):
+        doc = {
+            "nodes": [{"id": 0, "neighbors": [], "width": 32, "height": 32, "frames": frames}],
+            "frames": ["f0"],
+        }
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "detection, reason",
+        [
+            pytest.param({"score": 1.0}, "list of 3 or more x,y pairs", id="missing-key"),
+            pytest.param({"polygon": 5}, "list of 3 or more x,y pairs", id="not-a-list"),
+            pytest.param(
+                {"polygon": [0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0]}, "list of 3 or more x,y pairs",
+                id="odd-count",
+            ),
+            pytest.param(
+                {"polygon": [0.0, 0.0, 4.0, 4.0]}, "list of 3 or more x,y pairs", id="two-vertices"
+            ),
+            pytest.param(
+                {"polygon": [0.0, 0.0, "4", 0.0, 4.0, 4.0]}, "numeric polygon coordinates",
+                id="non-numeric",
+            ),
+            pytest.param(
+                {"polygon": [0.0, 0.0, 4.0, 4.0, 4.0, 0.0, 0.0, 2.0]}, "self-intersecting",
+                id="bow-tie",
+            ),
+            pytest.param({"polygon": [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]}, "zero area", id="collinear"),
+            pytest.param(
+                {"polygon": GOOD_DETECTION["polygon"], "score": "high"}, "and score", id="bad-score"
+            ),
+            pytest.param(
+                {"polygon": GOOD_DETECTION["polygon"], "vehicle_id": [3]}, "integer vehicle_id",
+                id="bad-vehicle-id",
+            ),
+        ],
+    )
+    def test_bad_detection(self, tmp_path, capsys, detection, reason):
+        frames = [{"frame_id": "f0", "detections": [GOOD_DETECTION, detection]}]
+        err = self.run_simulate(tmp_path, capsys, frames)
+        assert "node #0 frame #0 detection #1" in err
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param({"detections": []}, id="missing-frame-id"),
+            pytest.param({"frame_id": ["f0"], "detections": []}, id="unhashable-frame-id"),
+            pytest.param(5, id="not-an-object"),
+            pytest.param({"frame_id": "f0", "detections": {}}, id="detections-not-a-list"),
+        ],
+    )
+    def test_bad_frame(self, tmp_path, capsys, frame):
+        err = self.run_simulate(tmp_path, capsys, [frame])
+        want = "node #0 frame #0 needs a string or integer 'frame_id' and a 'detections' list"
+        assert want in err
+
+
 class TestDensityCommand:
     def test_density_and_peaks(self, tmp_path, capsys):
         dots = tmp_path / "dots.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshcount.errors import (
     DegenerateConfiguration,
@@ -19,10 +20,10 @@ from meshcount.geometry import (
     estimate_homography_dlt,
     ground_distance,
     iou,
+    points_in_polygon,
     project_point,
     project_polygon,
     ransac_homography,
-    raster_iou,
     symmetric_transfer_error,
 )
 
@@ -212,6 +213,105 @@ class TestProjection:
         assert out.area > 0
 
 
+def box_formula_iou(a, b):
+    """Analytic IoU of two axis-aligned boxes from their extreme vertices."""
+    (ax0, ay0), (ax1, ay1) = a.vertices.min(axis=0), a.vertices.max(axis=0)
+    (bx0, by0), (bx1, by1) = b.vertices.min(axis=0), b.vertices.max(axis=0)
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    inter = max(0.0, iw) * max(0.0, ih)
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+
+
+def raster_iou_bounds(a, b, n=400):
+    """(low, high) bounds on the IoU from an n x n sample grid.
+
+    The grid covers the overlap of the bounding boxes, which holds the whole
+    intersection. A cell that no polygon edge meets lies wholly inside or
+    outside both polygons, so its centre sample counts it exactly; an edge
+    meets at most |dx| / sx + |dy| / sy + 3 cells of sx by sy. The unions
+    follow from the shoelace areas, and IoU grows with the intersection.
+    """
+    lo = np.maximum(a.vertices.min(axis=0), b.vertices.min(axis=0))
+    hi = np.minimum(a.vertices.max(axis=0), b.vertices.max(axis=0))
+    if np.any(hi <= lo):
+        return 0.0, 0.0
+    sx, sy = (hi - lo) / n
+    gx, gy = np.meshgrid(lo[0] + (np.arange(n) + 0.5) * sx, lo[1] + (np.arange(n) + 0.5) * sy)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    hits = np.count_nonzero(points_in_polygon(pts, a.vertices) & points_in_polygon(pts, b.vertices))
+    cells = 0.0
+    for v in (a.vertices, b.vertices):
+        d = np.abs(np.roll(v, -1, axis=0) - v)
+        cells += float((d[:, 0] / sx + d[:, 1] / sy + 3.0).sum())
+    area_a, area_b = a.area, b.area
+    inter_lo = max(0.0, (hits - cells) * sx * sy)
+    inter_hi = min(area_a, area_b, (hits + cells) * sx * sy)
+    return (
+        inter_lo / (area_a + area_b - inter_lo),
+        inter_hi / (area_a + area_b - inter_hi),
+    )
+
+
+def _rotated(pts, angle, offset):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.asarray(pts, dtype=float) @ np.array([[c, s], [-s, c]]) + offset
+
+
+# shapes are centred near the origin, so most pairs overlap
+coords = st.floats(-8.0, 8.0)
+sizes = st.floats(1.0, 30.0)
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def boxes(draw):
+    x, y, w, h = draw(coords), draw(coords), draw(sizes), draw(sizes)
+    return Polygon.box(x - w / 2, y - h / 2, x + w / 2, y + h / 2)
+
+
+@st.composite
+def convex_polygons(draw):
+    """3-8 vertices on a rotated ellipse, in angular order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, draw(st.integers(3, 8))))
+    ellipse = np.column_stack([draw(sizes) * np.cos(t), draw(sizes) * np.sin(t)])
+    return Polygon(_rotated(ellipse, draw(angles), (draw(coords), draw(coords))))
+
+
+@st.composite
+def nonconvex_polygons(draw):
+    """Rotated L and U shapes, starting at any vertex in either orientation,
+    so the fan of triangles from the first vertex can have negative members."""
+    w, h = draw(sizes) + 2.0, draw(sizes) + 2.0
+    t = draw(st.floats(0.2, 0.45)) * min(w, h)
+    if draw(st.booleans()):
+        shape = [(0, 0), (w, 0), (w, t), (t, t), (t, h), (0, h)]
+    else:
+        # arms of unequal height: Polygon's simplicity test can take the
+        # collinear tops of a rotated U for a crossing
+        h2 = t + draw(st.floats(0.3, 0.9)) * (h - t)
+        shape = [(0, 0), (w, 0), (w, h2), (w - t, h2), (w - t, t), (t, t), (t, h), (0, h)]
+    v = _rotated(np.array(shape) - (w / 2, h / 2), draw(angles), (draw(coords), draw(coords)))
+    v = np.roll(v, draw(st.integers(0, 7)), axis=0)
+    return Polygon(v[::-1] if draw(st.booleans()) else v)
+
+
+@st.composite
+def projected_quads(draw):
+    """A box through a random homography: a convex quad with no axis-aligned edge."""
+    h = Homography(random_projective(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+    return project_polygon(h, draw(boxes()))
+
+
+any_polygons = st.one_of(boxes(), convex_polygons(), nonconvex_polygons(), projected_quads())
+FAMILIES = {
+    "convex": convex_polygons(),
+    "nonconvex": nonconvex_polygons(),
+    "projected": projected_quads(),
+}
+
+
 class TestIou:
     def test_identical_unit_squares(self):
         a = Polygon.box(0, 0, 1, 1)
@@ -222,17 +322,29 @@ class TestIou:
         b = Polygon.box(5, 5, 6, 6)
         assert iou(a, b) == 0.0
 
+    def test_touching_edges_have_zero_overlap(self):
+        assert iou(Polygon.box(0, 0, 1, 1), Polygon.box(1, 0, 2, 1)) == 0.0
+
     def test_half_offset_exact_third(self):
         a = Polygon.box(0, 0, 1, 1)
         b = Polygon.box(0.5, 0, 1.5, 1)
         assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    def test_l_shape_against_box_by_hand(self):
+        # L of area 5 and a 2 x 2 box: they share 1 x 0.5 + 0.5 x 1.5 = 1.75
+        ell = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]
+        box = Polygon.box(0.5, 0.5, 2.5, 2.5)
+        for start in range(6):
+            a = Polygon(np.roll(np.array(ell, dtype=float), start, axis=0))
+            assert iou(a, box) == pytest.approx(1.75 / 7.25, abs=1e-15)
+            assert iou(box, a) == iou(a, box)
+
     def test_rotated_triangles_against_finer_grid(self):
         a = Polygon([(0, 0), (4, 1), (1, 4)])
         b = Polygon([(1, 0), (4, 3), (0, 3)])
-        coarse = raster_iou(a, b, grid_scale=4.0)
-        fine = raster_iou(a, b, grid_scale=40.0)
-        assert abs(coarse - fine) < 0.02
+        low, high = raster_iou_bounds(a, b, n=1000)
+        assert high - low < 0.05
+        assert low <= iou(a, b) <= high
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(30)
@@ -245,14 +357,43 @@ class TestIou:
             assert v1 == v2
             assert 0.0 <= v1 <= 1.0
 
-    def test_raster_matches_analytic_on_rectangles(self):
-        # desk-scale mask sizes, where the 4 samples/px grid is rated
+    def test_matches_box_formula_on_rectangles(self):
+        # desk-scale mask sizes, as the masks of the counting protocol
         rng = np.random.default_rng(31)
         for _ in range(20):
             a = Polygon.box(0, 0, rng.uniform(15, 40), rng.uniform(10, 25))
             off = rng.uniform(0, 10, 2)
             b = Polygon.box(off[0], off[1], off[0] + rng.uniform(15, 40), off[1] + rng.uniform(10, 25))
-            assert abs(raster_iou(a, b, 4.0) - iou(a, b)) < 0.01
+            assert abs(iou(a, b) - box_formula_iou(a, b)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_polygons, any_polygons)
+    def test_exact_symmetry_and_unit_range_property(self, a, b):
+        v = iou(a, b)
+        assert v == iou(b, a)
+        assert 0.0 <= v <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(boxes(), st.integers(1, 3))
+    def test_box_with_itself_is_one_property(self, a, start):
+        assert iou(a, a) == 1.0
+        same = Polygon(np.roll(a.vertices, start, axis=0))
+        assert abs(iou(a, same) - 1.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes(), boxes())
+    def test_box_formula_property(self, a, b):
+        assert abs(iou(a, b) - box_formula_iou(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fine_raster_property(self, family, data):
+        a = data.draw(FAMILIES[family])
+        b = data.draw(any_polygons)
+        low, high = raster_iou_bounds(a, b)
+        v = iou(a, b)
+        assert low - 1e-12 <= v <= high + 1e-12
 
 
 class TestGroundPlane:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from meshcount.errors import CalibrationFailed, InfeasibleOverlap
-from meshcount.geometry import Homography, Point2, Polygon, symmetric_transfer_error, Correspondence
+from meshcount.geometry import (
+    Correspondence,
+    Homography,
+    Point2,
+    Polygon,
+    project_polygon,
+    symmetric_transfer_error,
+)
 from meshcount.matching import Feature
 from meshcount.protocol import (
     Detection,
@@ -231,6 +238,39 @@ class TestMaskingCount:
         homs = scenario.ground_truth.homographies
         # node 0 owns the overlap; node 1 discards its copy of vehicle 1
         assert masking_count(scenario, homs, "f0") == 3
+
+    def test_boundary_at_infinity_leaves_overlap_unmasked(self):
+        dets = [box_detection(20 * i + 2, 10, 20 * i + 18, 20, vid=i) for i in range(3)]
+        scenario = two_node_scenario(dets, dets, shift=0.0)
+        width = scenario.node(0).width
+        # w = 1 - x / width vanishes at node 0's right image corners
+        vanishing = Homography([[1, 0, 0], [0, 1, 0], [-1.0 / width, 0, 1]])
+        homs = {(0, 1): vanishing, (1, 0): Homography.identity()}
+        assert masking_count(scenario, homs, "f0") == 6
+
+    def test_matches_per_detection_oracle(self):
+        for seed, warp in enumerate(("translation", "affine", "projective")):
+            spec = SyntheticSceneSpec(
+                n_cameras=3, n_vehicles=30, overlap=0.4, warp=warp, jitter_px=2.0,
+                spurious_rate=0.05, n_frames=2, seed=seed,
+            )
+            scenario = generate_scene(spec)
+            homs = scenario.ground_truth.homographies
+            for frame_id in scenario.frames:
+                expected = 0
+                for node in scenario.nodes:
+                    regions = [
+                        project_polygon(
+                            homs[(j, node.node_id)],
+                            Polygon.box(0, 0, scenario.node(j).width, scenario.node(j).height),
+                        )
+                        for j in node.neighbors
+                        if j < node.node_id
+                    ]
+                    for det in node.frames[frame_id]:
+                        c = det.polygon.centroid
+                        expected += not any(r.contains(np.array([c.x, c.y])) for r in regions)
+                assert masking_count(scenario, homs, frame_id) == expected
 
 
 class TestRunScenario:
