@@ -131,6 +131,7 @@ from .rescoring import (
     pearson_r,
     rescore_and_filter,
     score,
+    score_batch,
     train,
 )
 from .synth import SyntheticSceneSpec, generate_scene

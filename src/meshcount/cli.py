@@ -42,7 +42,7 @@ from .metrics import (
     rmse,
 )
 from .protocol import ProtocolConfig, run_scenario
-from .rescoring import TrainConfig, pearson_r, score, train
+from .rescoring import TrainConfig, pearson_r, score_batch, train
 from .synth import SyntheticSceneSpec, generate_scene
 
 log = logging.getLogger("meshcount")
@@ -369,12 +369,11 @@ def _cmd_rescore_train(args) -> int:
 def _cmd_rescore_eval(args) -> int:
     samples = io.read_samples_csv(args.samples)
     model = io.read_model_json(args.model)
-    scores = [score(model, s.features) for s in samples]
-    agreements = [s.agreement for s in samples]
-    r = pearson_r(scores, agreements)
+    scores = score_batch(model, [s.features for s in samples])
+    r = pearson_r(scores, [s.agreement for s in samples])
     rows = [["pearson_r", r], ["n_samples", len(samples)]]
     if args.threshold is not None:
-        kept = sum(1 for s in scores if s >= args.threshold)
+        kept = int(np.count_nonzero(scores >= args.threshold))
         rows.append(["kept_at_threshold", kept])
     return _write_metrics(args.out, rows)
 

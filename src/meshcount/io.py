@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .annotate import SkeletonBox
 from .density import DensityMap
-from .errors import ParseError
+from .errors import ParseError, UnorderedThetas
 from .geometry import Correspondence, Homography, Point2, Polygon
 from .matching import Feature
 from .metrics import ScoredDetection
@@ -255,7 +256,10 @@ def read_detections_csv(path):
         if len(vals) == 2:
             geom = Point2(vals[0], vals[1])
         elif len(vals) >= 6:
-            geom = Polygon(list(zip(vals[0::2], vals[1::2])))
+            try:
+                geom = Polygon(list(zip(vals[0::2], vals[1::2])))
+            except ValueError as exc:
+                raise ParseError(f"invalid polygon: {exc}", line=ln, column=geom_at + 1) from exc
         else:
             raise ParseError(
                 "geometry must be x,y or at least three vertices", line=ln, column=geom_at + 1
@@ -410,17 +414,34 @@ def write_model_json(path, model: ScorerModel):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _model_array(doc, key: str) -> np.ndarray:
+    try:
+        value = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(
+            f"model {key!r} must be a number or a regular array of numbers", line=1, column=1
+        ) from exc
+    if not np.all(np.isfinite(value)):
+        raise ParseError(f"model {key!r} holds a non-finite value", line=1, column=1)
+    return value
+
+
 def read_model_json(path) -> ScorerModel:
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError("model must be a JSON object", line=1, column=1)
     for key in ("head", "weights", "bias"):
         if key not in doc:
             raise ParseError(f"model lacks {key!r}", line=1, column=1)
-    return ScorerModel(
-        head=doc["head"],
-        weights=np.array(doc["weights"], dtype=float),
-        bias=doc["bias"] if isinstance(doc["bias"], (int, float)) else np.array(doc["bias"]),
-        thetas=None if doc.get("thetas") is None else np.array(doc["thetas"], dtype=float),
-    )
+    try:
+        return ScorerModel(
+            head=doc["head"],
+            weights=_model_array(doc, "weights"),
+            bias=_model_array(doc, "bias"),
+            thetas=None if doc.get("thetas") is None else _model_array(doc, "thetas"),
+        )
+    except (ValueError, UnorderedThetas) as exc:
+        raise ParseError(f"invalid model: {exc}", line=1, column=1) from exc
 
 
 def write_samples_csv(path, samples):
@@ -443,10 +464,21 @@ def read_samples_csv(path):
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != dim + 1:
             raise ParseError(f"expected {dim + 1} cells, got {len(row)}", line=ln, column=len(row) + 1)
-        agreement = _parse_int(row[0], ln, 1)
-        feats = [_parse_float(c, ln, i + 2) for i, c in enumerate(row[1:])]
-        out.append(AgreementSample(np.array(feats), agreement))
+        try:
+            out.append(AgreementSample(np.array(list(map(float, row[1:]))), int(row[0])))
+        except ValueError:
+            _raise_bad_sample_cell(row, ln)
+            raise
     return out
+
+
+def _raise_bad_sample_cell(row, line: int):
+    """Raise ParseError at the first cell of a sample row that is not valid."""
+    if _parse_int(row[0], line, 1) < 0:
+        raise ParseError(f"agreement must be non-negative, got {row[0]!r}", line=line, column=1)
+    for column, cell in enumerate(row[1:], start=2):
+        if not math.isfinite(_parse_float(cell, line, column)):
+            raise ParseError(f"expected a finite number, got {cell!r}", line=line, column=column)
 
 
 def write_loss_trace_csv(path, trace):

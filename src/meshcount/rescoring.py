@@ -61,6 +61,8 @@ class ScorerModel:
         if self.head == SCALAR:
             if self.weights.ndim != 1:
                 raise ValueError("scalar head needs a weight vector")
+            if np.ndim(self.bias) != 0:
+                raise ValueError("scalar head needs a single bias")
             self.bias = float(self.bias)
         elif self.head == CATEGORICAL:
             if self.weights.ndim != 2:
@@ -72,6 +74,8 @@ class ScorerModel:
             raise ValueError(f"unknown head {self.head!r}")
         if self.thetas is not None:
             self.thetas = np.asarray(self.thetas, dtype=float)
+            if self.thetas.ndim != 1:
+                raise ValueError("thresholds must be a vector")
             _check_thetas(self.thetas)
 
     @property
@@ -111,6 +115,39 @@ def _check_dim(model, x):
         raise DimensionMismatch(f"feature length {x.shape[0]}, model expects {model.dim}")
 
 
+def _matrix(rows, dim: int) -> np.ndarray:
+    """The (n, dim) float matrix of a sequence of feature vectors."""
+    try:
+        return np.array(rows, dtype=float).reshape(len(rows), dim)
+    except ValueError:
+        raise DimensionMismatch(f"feature vectors must all have length {dim}") from None
+
+
+def _stack(samples, dim: int):
+    """Feature matrix (n, dim) and agreement vector of a sample sequence."""
+    samples = list(samples)
+    X = _matrix([s.features for s in samples], dim)
+    return X, np.array([s.agreement for s in samples], dtype=np.int64)
+
+
+def _ordered_sum(v, axis: int = 0):
+    """Sum along ``axis``, adding terms in index order as a loop from +0.0 would.
+
+    ``np.sum`` may add in pairwise order (it does on a 1-D run of 8 or more
+    terms), which changes the last bits; ``+ 0.0`` turns the -0.0 that an
+    all-(-0.0) run accumulates into the +0.0 such a loop gives.
+    """
+    v = np.asarray(v)
+    if v.shape[axis] == 0:
+        return np.zeros(np.delete(v.shape, axis))
+    return np.add.accumulate(v, axis=axis).take(-1, axis=axis) + 0.0
+
+
+def _neg_log(p):
+    """-log(max(p, LOG_EPS)) per item by math.log: np.log differs in the last bit on some values."""
+    return -np.array(list(map(math.log, np.maximum(p, LOG_EPS).tolist())))
+
+
 def _sigmoid(t):
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
@@ -121,30 +158,38 @@ def _sigmoid(t):
     return out
 
 
-def _softmax(z):
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _scores(model, X):
+    # vecdot and the stacked matmul give each row the bits of a 1-D w @ x / W @ x;
+    # X @ w and X @ W.T do not.
+    if model.head == SCALAR:
+        return np.vecdot(X, model.weights) + model.bias
+    p = _class_probs(model, X)
+    return np.vecdot(p, np.arange(p.shape[1], dtype=float)) / (p.shape[1] - 1)
+
+
+def _class_probs(model, X):
+    z = np.matmul(model.weights, X[:, :, None])[:, :, 0] + model.bias
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def score_batch(model: ScorerModel, features) -> np.ndarray:
+    """Scores of a sequence of feature vectors, each equal to ``score`` of that vector."""
+    return _scores(model, _matrix(features, model.dim))
 
 
 def score(model: ScorerModel, features) -> float:
     """Scalar objectness: w.x + b, or the expected class for a softmax head."""
     x = np.asarray(features, dtype=float)
     _check_dim(model, x)
-    if model.head == SCALAR:
-        return float(model.weights @ x + model.bias)
-    return expected_score(model, x)
+    return float(_scores(model, x[None, :])[0])
 
 
 def expected_score(model: ScorerModel, features) -> float:
     """Normalized expected class of the softmax head, in [0, 1]."""
     if model.head != CATEGORICAL:
         raise HeadMismatch("expected_score needs a categorical head")
-    x = np.asarray(features, dtype=float)
-    _check_dim(model, x)
-    p = _softmax(model.weights @ x + model.bias)
-    k = p.size - 1
-    return float(np.arange(p.size) @ p / k)
+    return score(model, features)
 
 
 def class_probs(model: ScorerModel, features) -> np.ndarray:
@@ -152,53 +197,123 @@ def class_probs(model: ScorerModel, features) -> np.ndarray:
         raise HeadMismatch("class probabilities need a categorical head")
     x = np.asarray(features, dtype=float)
     _check_dim(model, x)
-    return _softmax(model.weights @ x + model.bias)
+    return _class_probs(model, x[None, :])[0]
 
 
 # -- losses and analytic gradients -------------------------------------------
+#
+# Each loss and gradient has one array kernel over an (n, d) feature matrix X
+# and an agreement vector a (RL: an (n, k+1) index array into X, one row per
+# tuple). The public functions over sample lists wrap the same kernels that
+# `train` calls. Sums over samples run in sample order, so results carry the
+# bits of a per-sample loop.
+
+
+def _ar_loss(model, X, a, k):
+    # float ** (libm pow) per item: np.square differs from it in the last bit on some values
+    d = (a / k - _scores(model, X)).tolist()
+    return float(_ordered_sum(0.5 * np.array([v**2 for v in d])))
+
+
+def _ar_grad(model, X, a, k):
+    r = _scores(model, X) - a / k
+    return _ordered_sum(r[:, None] * X), float(_ordered_sum(r))
+
+
+def _ac_loss(model, X, a):
+    p = _class_probs(model, X)[np.arange(a.size), a]
+    return float(_ordered_sum(_neg_log(p)))
+
+
+def _ac_grad(model, X, a):
+    dz = _class_probs(model, X)
+    dz[np.arange(a.size), a] -= 1.0
+    return _ordered_sum(dz[:, :, None] * X[:, None, :]), _ordered_sum(dz)
+
+
+def _or_sig(model, X):
+    return _sigmoid(model.thetas - _scores(model, X)[:, None])
+
+
+def _padded(m, last: float = 0.0):
+    """``m`` with a column of zeros before it and a column of ``last`` after it."""
+    out = np.zeros((m.shape[0], m.shape[1] + 2))
+    out[:, 1:-1] = m
+    out[:, -1] = last
+    return out
+
+
+def _or_probs(cum):
+    """Class probabilities from cumulative sigmoids, one row per score."""
+    cum = _padded(cum, 1.0)
+    return cum[:, 1:] - cum[:, :-1]
+
+
+def _or_loss(model, X, a):
+    _check_thetas(model.thetas)
+    y = _or_probs(_or_sig(model, X))[np.arange(a.size), a]
+    return float(_ordered_sum(_neg_log(y)))
+
+
+def _or_grad(model, X, a):
+    sig = _or_sig(model, X)
+    rows = np.arange(a.size)
+    y = _or_probs(sig)[rows, a]
+    # dsig is the derivative w.r.t. (theta - s); the zero columns make the
+    # first and last classes the interior formula's special cases
+    dsig = _padded(sig * (1.0 - sig))
+    lower, upper = dsig[rows, a], dsig[rows, a + 1]
+    dy_ds = -upper + lower
+    inv = -1.0 / np.maximum(y, LOG_EPS)
+    g = inv * dy_ds
+    dtheta = np.zeros_like(dsig)
+    dtheta[rows, a + 1] = inv * upper  # theta_a, when a < k
+    dtheta[rows, a] = inv * -lower  # theta_{a-1}, when a >= 1
+    return _ordered_sum(g[:, None] * X), float(_ordered_sum(g)), _ordered_sum(dtheta[:, 1:-1])
+
+
+def _rl_hinge(scores, margin):
+    return margin - scores[:, 1:] + scores[:, :-1]
+
+
+def _rl_losses(model, X, tuples, margin):
+    """Per-tuple losses; scores each row of X once instead of copying the tuples."""
+    hinge = _rl_hinge(_scores(model, X)[tuples], margin)
+    return _ordered_sum(np.maximum(hinge, 0.0), axis=1) / (tuples.shape[1] - 1)
+
+
+def _rl_grad(model, X, tuples, margin):
+    """Gradient summed over tuples, each tuple's own sum taken first."""
+    Xt = X[tuples]
+    active = _rl_hinge(_scores(model, Xt), margin) > 0.0
+    coeff = np.zeros(tuples.shape)
+    coeff[:, :-1] += active  # a violated pair (j, j+1) adds +1/k at j, -1/k at j+1
+    coeff[:, 1:] -= active
+    coeff /= tuples.shape[1] - 1
+    dw = _ordered_sum(_ordered_sum(coeff[:, :, None] * Xt, axis=1))
+    return dw, float(_ordered_sum(_ordered_sum(coeff, axis=1)))
 
 
 def loss_ar(model: ScorerModel, batch, k: int = DEFAULT_K) -> float:
     """Half the squared error against the normalized agreement, summed."""
     if model.head != SCALAR:
         raise HeadMismatch("AR needs a scalar head")
-    total = 0.0
-    for s in batch:
-        total += 0.5 * (s.agreement / k - score(model, s.features)) ** 2
-    return total
+    return _ar_loss(model, *_stack(batch, model.dim), k)
 
 
 def grad_ar(model: ScorerModel, batch, k: int = DEFAULT_K):
-    dw = np.zeros_like(model.weights)
-    db = 0.0
-    for s in batch:
-        r = score(model, s.features) - s.agreement / k
-        dw += r * s.features
-        db += r
-    return dw, db
+    return _ar_grad(model, *_stack(batch, model.dim), k)
 
 
 def loss_ac(model: ScorerModel, batch) -> float:
     """Cross-entropy of the true agreement class, summed over the batch."""
     if model.head != CATEGORICAL:
         raise HeadMismatch("AC needs a categorical head")
-    total = 0.0
-    for s in batch:
-        p = class_probs(model, s.features)
-        total += -math.log(max(float(p[s.agreement]), LOG_EPS))
-    return total
+    return _ac_loss(model, *_stack(batch, model.dim))
 
 
 def grad_ac(model: ScorerModel, batch):
-    dw = np.zeros_like(model.weights)
-    db = np.zeros_like(model.bias)
-    for s in batch:
-        p = class_probs(model, s.features)
-        dz = p.copy()
-        dz[s.agreement] -= 1.0
-        dw += np.outer(dz, s.features)
-        db += dz
-    return dw, db
+    return _ac_grad(model, *_stack(batch, model.dim))
 
 
 def or_class_probs(s: float, thetas) -> np.ndarray:
@@ -210,105 +325,58 @@ def or_class_probs(s: float, thetas) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_thetas(thetas)
-    cum = _sigmoid(thetas - s)
-    y = np.empty(thetas.size + 1)
-    y[0] = cum[0]
-    y[1:-1] = np.diff(cum)
-    y[-1] = 1.0 - cum[-1]
-    return y
+    return _or_probs(_sigmoid(thetas - s)[None, :])[0]
 
 
 def loss_or(model: ScorerModel, batch) -> float:
     """Negative log likelihood of the observed agreement classes, summed."""
     if model.head != SCALAR or model.thetas is None:
         raise HeadMismatch("OR needs a scalar head with thresholds")
-    total = 0.0
-    for s in batch:
-        y = or_class_probs(score(model, s.features), model.thetas)
-        total += -math.log(max(float(y[s.agreement]), LOG_EPS))
-    return total
+    return _or_loss(model, *_stack(batch, model.dim))
 
 
 def grad_or(model: ScorerModel, batch):
-    thetas = model.thetas
-    k = thetas.size
-    dw = np.zeros_like(model.weights)
-    db = 0.0
-    dtheta = np.zeros(k)
-    for smp in batch:
-        s = score(model, smp.features)
-        sig = _sigmoid(thetas - s)
-        dsig = sig * (1.0 - sig)  # derivative w.r.t. (theta - s)
-        a = smp.agreement
-        if a == 0:
-            y = sig[0]
-            dy_ds = -dsig[0]
-        elif a == k:
-            y = 1.0 - sig[-1]
-            dy_ds = dsig[-1]
-        else:
-            y = sig[a] - sig[a - 1]
-            dy_ds = -dsig[a] + dsig[a - 1]
-        inv = -1.0 / max(float(y), LOG_EPS)
-        dw += inv * dy_ds * smp.features
-        db += inv * dy_ds
-        if a < k:
-            dtheta[a] += inv * dsig[a]
-        if a >= 1:
-            dtheta[a - 1] += inv * -dsig[a - 1]
-    return dw, db, dtheta
+    return _or_grad(model, *_stack(batch, model.dim))
+
+
+def _one_tuple(model, tup):
+    X, a = _stack(tup, model.dim)
+    return X, np.arange(a.size)[None, :], a
 
 
 def loss_rl(model: ScorerModel, tup, margin: float = DEFAULT_MARGIN) -> float:
     """Class-balanced pairwise margin loss over one ordered tuple."""
     if model.head != SCALAR:
         raise HeadMismatch("RL needs a scalar head")
-    tup = list(tup)
-    if [s.agreement for s in tup] != list(range(len(tup))):
+    X, idx, a = _one_tuple(model, tup)
+    if not np.array_equal(a, idx[0]):
         raise BadTuple("tuple must hold one sample per agreement level, in order")
-    k = len(tup) - 1
-    scores = [score(model, s.features) for s in tup]
-    total = 0.0
-    for i in range(1, k + 1):
-        total += max(margin - scores[i] + scores[i - 1], 0.0)
-    return total / k
+    return float(_rl_losses(model, X, idx, margin)[0])
 
 
 def grad_rl(model: ScorerModel, tup, margin: float = DEFAULT_MARGIN):
-    tup = list(tup)
-    k = len(tup) - 1
-    scores = [score(model, s.features) for s in tup]
-    coeff = np.zeros(k + 1)
-    for i in range(1, k + 1):
-        if margin - scores[i] + scores[i - 1] > 0.0:
-            coeff[i] -= 1.0 / k
-            coeff[i - 1] += 1.0 / k
-    dw = np.zeros_like(model.weights)
-    db = 0.0
-    for c, s in zip(coeff, tup):
-        if c != 0.0:
-            dw += c * s.features
-            db += c
-    return dw, db
+    X, idx, _ = _one_tuple(model, tup)
+    return _rl_grad(model, X, idx, margin)
+
+
+def _tuple_rows(agreements, count: int, seed: int, k: int) -> np.ndarray:
+    """(count, k+1) sample indices, one uniform seeded draw per agreement level."""
+    if np.any(agreements > k):
+        raise ValueError(f"agreement {agreements[agreements > k][0]} exceeds k={k}")
+    levels = [np.flatnonzero(agreements == a) for a in range(k + 1)]
+    for a, members in enumerate(levels):
+        if not members.size:
+            raise EmptyAgreementLevel(f"no samples at agreement level {a}")
+    rng = np.random.default_rng(seed)
+    draws = [m[int(rng.integers(m.size))] for _ in range(count) for m in levels]
+    return np.array(draws, dtype=np.int64).reshape(count, k + 1)
 
 
 def make_tuples(dataset, count: int, seed: int, k: int = DEFAULT_K):
     """Seeded tuples with one uniform draw per agreement level 0..k."""
-    levels = {a: [] for a in range(k + 1)}
-    for s in dataset:
-        if s.agreement > k:
-            raise ValueError(f"agreement {s.agreement} exceeds k={k}")
-        levels[s.agreement].append(s)
-    for a, members in levels.items():
-        if not members:
-            raise EmptyAgreementLevel(f"no samples at agreement level {a}")
-    rng = np.random.default_rng(seed)
-    tuples = []
-    for _ in range(count):
-        tuples.append(
-            tuple(levels[a][int(rng.integers(len(levels[a])))] for a in range(k + 1))
-        )
-    return tuples
+    dataset = list(dataset)
+    rows = _tuple_rows(np.array([s.agreement for s in dataset], dtype=np.int64), count, seed, k)
+    return [tuple(dataset[i] for i in row) for row in rows.tolist()]
 
 
 # -- training -----------------------------------------------------------------
@@ -343,16 +411,15 @@ def _reorder_thetas(thetas):
     return thetas
 
 
-def _dataset_loss(model, items, config, k):
-    if not items:
-        return 0.0
+def _dataset_loss(model, X, a, items, config, k):
+    """Per-item mean loss; ``items`` indexes samples (RL: tuples) in X."""
+    if config.method == "RL":
+        return float(np.mean(_rl_losses(model, X, items, config.margin)))
     if config.method == "AR":
-        return loss_ar(model, items, k) / len(items)
+        return _ar_loss(model, X, a, k) / a.size
     if config.method == "AC":
-        return loss_ac(model, items) / len(items)
-    if config.method == "OR":
-        return loss_or(model, items) / len(items)
-    return float(np.mean([loss_rl(model, t, config.margin) for t in items]))
+        return _ac_loss(model, X, a) / a.size
+    return _or_loss(model, X, a) / a.size
 
 
 def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
@@ -365,48 +432,38 @@ def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    for s in dataset:
-        if s.agreement > k:
-            raise ValueError(f"agreement {s.agreement} exceeds k={k}")
-    dim = dataset[0].features.size
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    X, a = _stack(dataset, dataset[0].features.size)
+    if np.any(a > k):
+        raise ValueError(f"agreement {a[a > k][0]} exceeds k={k}")
     rng = np.random.default_rng(config.seed)
-    model = _init_model(config.method, dim, k, rng)
+    model = _init_model(config.method, X.shape[1], k, rng)
 
     if config.method == "RL":
-        items = make_tuples(dataset, count=len(dataset), seed=config.seed + 1, k=k)
+        items = _tuple_rows(a, count=a.size, seed=config.seed + 1, k=k)
     else:
-        items = dataset
+        items = np.arange(a.size)
 
-    trace = [_dataset_loss(model, items, config, k)]
+    trace = [_dataset_loss(model, X, a, items, config, k)]
     lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(len(items))
         for start in range(0, len(items), config.batch_size):
-            batch = [items[i] for i in order[start : start + config.batch_size]]
-            step = lr / len(batch)  # mean-gradient step: lr independent of batch size
-            if config.method == "AR":
-                dw, db = grad_ar(model, batch, k)
-                model.weights = model.weights - step * dw
-                model.bias = model.bias - step * db
+            rows = items[order[start : start + config.batch_size]]
+            step = lr / len(rows)  # mean-gradient step: lr independent of batch size
+            if config.method == "RL":  # the batch loss is the mean over tuples
+                dw, db = _rl_grad(model, X, rows, config.margin)
+            elif config.method == "AR":
+                dw, db = _ar_grad(model, X[rows], a[rows], k)
             elif config.method == "AC":
-                dw, db = grad_ac(model, batch)
-                model.weights = model.weights - step * dw
-                model.bias = model.bias - step * db
-            elif config.method == "OR":
-                dw, db, dtheta = grad_or(model, batch)
-                model.weights = model.weights - step * dw
-                model.bias = model.bias - step * db
+                dw, db = _ac_grad(model, X[rows], a[rows])
+            else:
+                dw, db, dtheta = _or_grad(model, X[rows], a[rows])
                 model.thetas = _reorder_thetas(model.thetas - step * dtheta)
-            else:  # RL: the batch loss is the mean over tuples
-                dw = np.zeros_like(model.weights)
-                db = 0.0
-                for tup in batch:
-                    tw, tb = grad_rl(model, tup, config.margin)
-                    dw += tw
-                    db += tb
-                model.weights = model.weights - step * dw
-                model.bias = model.bias - step * db
-        trace.append(_dataset_loss(model, items, config, k))
+            model.weights = model.weights - step * dw
+            model.bias = model.bias - step * db
+        trace.append(_dataset_loss(model, X, a, items, config, k))
     return TrainResult(model=model, loss_trace=trace)
 
 
@@ -446,9 +503,6 @@ class ScoredObject:
 
 def rescore_and_filter(objects, model: ScorerModel, threshold: float):
     """Replace scores with model scores; keep items scoring at least ``threshold``."""
-    out = []
-    for obj in objects:
-        s = score(model, obj.features)
-        if s >= threshold:
-            out.append(replace(obj, score=s))
-    return out
+    objects = list(objects)
+    scores = score_batch(model, [obj.features for obj in objects])
+    return [replace(obj, score=s) for obj, s in zip(objects, scores.tolist()) if s >= threshold]

@@ -309,6 +309,76 @@ class TestRescoreCommands:
         assert m1.read_bytes() == m2.read_bytes()
 
 
+class TestMalformedRescoreInputs:
+    """A bad sample cell, model entry or detection polygon is a ParseError
+    (exit 1) that names its position, never a traceback."""
+
+    def run(self, capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            pytest.param("2,0.5,nan", "line 3, column 3", id="nan-feature"),
+            pytest.param("2,inf,0.5", "line 3, column 2", id="inf-feature"),
+            pytest.param("-1,0.5,0.5", "line 3, column 1", id="negative-agreement"),
+            pytest.param("2,0.5,x", "line 3, column 3", id="non-numeric"),
+        ],
+    )
+    def test_bad_sample_cell(self, tmp_path, capsys, row, where):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"agreement,f0,f1\n1,0.25,0.5\n{row}\n")
+        err = self.run(capsys, ["rescore-train", "--samples", str(samples),
+                                "--out", str(tmp_path / "m.json")])
+        assert where in err
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            pytest.param({"head": "linear", "weights": [1.0], "bias": 0.0}, "unknown head",
+                         id="unknown-head"),
+            pytest.param({"head": "scalar", "weights": [[1.0, 2.0]], "bias": 0.0}, "weight vector",
+                         id="scalar-weights-rank"),
+            pytest.param({"head": "categorical", "weights": [1.0, 2.0], "bias": [0.0, 0.0]},
+                         "weight matrix", id="categorical-weights-rank"),
+            pytest.param({"head": "categorical", "weights": [[1.0, 2.0], [0.0, 1.0]],
+                          "bias": [0.0, 0.0, 0.0]}, "bias length", id="bias-length"),
+            pytest.param({"head": "scalar", "weights": [1.0, 2.0], "bias": [0.0, 1.0]},
+                         "single bias", id="scalar-bias-list"),
+            pytest.param({"head": "scalar", "weights": [1.0, 2.0], "bias": 0.0,
+                          "thetas": [0.5, -0.5]}, "strictly increasing", id="unordered-thetas"),
+            pytest.param({"head": "scalar", "weights": [1.0, "x"], "bias": 0.0},
+                         "'weights' must be", id="non-numeric-weights"),
+            pytest.param({"head": "scalar", "weights": [1.0, 2.0], "bias": None},
+                         "'bias' holds a non-finite", id="null-bias"),
+            pytest.param([1.0], "JSON object", id="not-an-object"),
+        ],
+    )
+    def test_bad_model(self, tmp_path, capsys, doc, reason):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("agreement,f0,f1\n1,0.25,0.5\n2,0.5,0.25\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        err = self.run(capsys, ["rescore-eval", "--samples", str(samples), "--model", str(model),
+                                "--out", str(tmp_path / "e.csv")])
+        assert "line 1, column 1" in err
+        assert reason in err
+
+    def test_bad_detection_polygon(self, tmp_path, capsys):
+        good = "img,0,1.0,0.0,0.0,4.0,0.0,4.0,4.0"
+        bow_tie = "img,0,0.5,0.0,0.0,4.0,4.0,4.0,0.0,0.0,2.0"
+        (tmp_path / "p.csv").write_text(f"image_id,class_id,score,geom\n{good}\n{bow_tie}\n")
+        (tmp_path / "g.csv").write_text(f"image_id,class_id,geom\n{good.replace(',1.0', '')}\n")
+        err = self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"),
+                                "--gt", str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")])
+        assert "self-intersecting" in err
+        assert "line 3, column 4" in err
+
+
 class TestSanitize:
     def test_fit_and_pad(self, tmp_path, capsys):
         path = tmp_path / "boxes.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshcount.errors import (
     BadTuple,
@@ -30,6 +32,7 @@ from meshcount.rescoring import (
     pearson_r,
     rescore_and_filter,
     score,
+    score_batch,
     train,
 )
 
@@ -65,6 +68,278 @@ def assert_grad_close(analytic, numeric, rel=1e-4):
     numeric = np.asarray(numeric, dtype=float).ravel()
     denom = max(float(np.linalg.norm(numeric)), 1e-6)
     assert float(np.linalg.norm(analytic - numeric)) <= rel * denom
+
+
+# -- reference oracle: per-sample loops ----------------------------------------
+#
+# Each function scores, sums and updates one sample at a time, in sample
+# order; the package's array kernels must match these bit for bit.
+
+
+def ref_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def ref_class_probs(m, x):
+    z = m.weights @ x + m.bias
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def ref_score(m, x):
+    if m.head == "scalar":
+        return float(m.weights @ x + m.bias)
+    p = ref_class_probs(m, x)
+    return float(np.arange(p.size) @ p / (p.size - 1))
+
+
+def ref_or_probs(s, thetas):
+    cum = ref_sigmoid(thetas - s)
+    y = np.empty(thetas.size + 1)
+    y[0] = cum[0]
+    y[1:-1] = np.diff(cum)
+    y[-1] = 1.0 - cum[-1]
+    return y
+
+
+def ref_loss_ar(m, batch, k):
+    total = 0.0
+    for s in batch:
+        total += 0.5 * (s.agreement / k - ref_score(m, s.features)) ** 2
+    return total
+
+
+def ref_grad_ar(m, batch, k):
+    dw, db = np.zeros_like(m.weights), 0.0
+    for s in batch:
+        r = ref_score(m, s.features) - s.agreement / k
+        dw += r * s.features
+        db += r
+    return dw, db
+
+
+def ref_loss_ac(m, batch):
+    total = 0.0
+    for s in batch:
+        total += -math.log(max(float(ref_class_probs(m, s.features)[s.agreement]), 1e-12))
+    return total
+
+
+def ref_grad_ac(m, batch):
+    dw, db = np.zeros_like(m.weights), np.zeros_like(m.bias)
+    for s in batch:
+        dz = ref_class_probs(m, s.features)
+        dz[s.agreement] -= 1.0
+        dw += np.outer(dz, s.features)
+        db += dz
+    return dw, db
+
+
+def ref_loss_or(m, batch):
+    total = 0.0
+    for s in batch:
+        y = ref_or_probs(ref_score(m, s.features), m.thetas)
+        total += -math.log(max(float(y[s.agreement]), 1e-12))
+    return total
+
+
+def ref_grad_or(m, batch):
+    k = m.thetas.size
+    dw, db, dtheta = np.zeros_like(m.weights), 0.0, np.zeros(k)
+    for smp in batch:
+        sig = ref_sigmoid(m.thetas - ref_score(m, smp.features))
+        dsig = sig * (1.0 - sig)
+        a = smp.agreement
+        if a == 0:
+            y, dy_ds = sig[0], -dsig[0]
+        elif a == k:
+            y, dy_ds = 1.0 - sig[-1], dsig[-1]
+        else:
+            y, dy_ds = sig[a] - sig[a - 1], -dsig[a] + dsig[a - 1]
+        inv = -1.0 / max(float(y), 1e-12)
+        dw += inv * dy_ds * smp.features
+        db += inv * dy_ds
+        if a < k:
+            dtheta[a] += inv * dsig[a]
+        if a >= 1:
+            dtheta[a - 1] += inv * -dsig[a - 1]
+    return dw, db, dtheta
+
+
+def ref_loss_rl(m, tup, margin):
+    scores = [ref_score(m, s.features) for s in tup]
+    total = 0.0
+    for i in range(1, len(tup)):
+        total += max(margin - scores[i] + scores[i - 1], 0.0)
+    return total / (len(tup) - 1)
+
+
+def ref_grad_rl(m, tup, margin):
+    k = len(tup) - 1
+    scores = [ref_score(m, s.features) for s in tup]
+    coeff = np.zeros(k + 1)
+    for i in range(1, k + 1):
+        if margin - scores[i] + scores[i - 1] > 0.0:
+            coeff[i] -= 1.0 / k
+            coeff[i - 1] += 1.0 / k
+    dw, db = np.zeros_like(m.weights), 0.0
+    for c, s in zip(coeff, tup):
+        if c != 0.0:
+            dw += c * s.features
+            db += c
+    return dw, db
+
+
+def ref_make_tuples(dataset, count, seed, k):
+    levels = {a: [s for s in dataset if s.agreement == a] for a in range(k + 1)}
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(levels[a][int(rng.integers(len(levels[a])))] for a in range(k + 1))
+        for _ in range(count)
+    ]
+
+
+def ref_train(dataset, cfg, k):
+    rng = np.random.default_rng(cfg.seed)
+    dim = dataset[0].features.size
+    if cfg.method == "AC":
+        m = ScorerModel("categorical", rng.normal(0.0, 0.01, (k + 1, dim)), np.zeros(k + 1))
+    else:
+        thetas = np.linspace(-1.0, 1.0, k) if cfg.method == "OR" else None
+        m = ScorerModel("scalar", rng.normal(0.0, 0.01, dim), 0.0, thetas)
+    items = dataset
+    if cfg.method == "RL":
+        items = ref_make_tuples(dataset, len(dataset), cfg.seed + 1, k)
+
+    def dataset_loss():
+        if cfg.method == "RL":
+            return float(np.mean([ref_loss_rl(m, t, cfg.margin) for t in items]))
+        loss = {"AR": lambda b: ref_loss_ar(m, b, k), "AC": lambda b: ref_loss_ac(m, b),
+                "OR": lambda b: ref_loss_or(m, b)}[cfg.method]
+        return loss(items) / len(items)
+
+    trace = [dataset_loss()]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), cfg.batch_size):
+            batch = [items[i] for i in order[start : start + cfg.batch_size]]
+            step = cfg.learning_rate / len(batch)
+            if cfg.method == "AR":
+                dw, db = ref_grad_ar(m, batch, k)
+            elif cfg.method == "AC":
+                dw, db = ref_grad_ac(m, batch)
+            elif cfg.method == "OR":
+                dw, db, dtheta = ref_grad_or(m, batch)
+                thetas = m.thetas - step * dtheta
+                for i in range(1, thetas.size):
+                    if thetas[i] <= thetas[i - 1]:
+                        thetas[i] = thetas[i - 1] + 1e-6
+                m.thetas = thetas
+            else:
+                dw, db = np.zeros_like(m.weights), 0.0
+                for tup in batch:
+                    tw, tb = ref_grad_rl(m, tup, cfg.margin)
+                    dw += tw
+                    db += tb
+            m.weights = m.weights - step * dw
+            m.bias = m.bias - step * db
+        trace.append(dataset_loss())
+    return m, trace
+
+
+def same_bits(x, y):
+    """Equal values, NaN where the other has NaN, and equal signs of zero."""
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(same_bits(a, b) for a, b in zip(x, y))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(
+        np.signbit(x[x == 0]), np.signbit(y[x == 0])
+    )
+
+
+def random_dataset(rng, n, d, k):
+    """n samples covering every level 0..k once, the rest uniform; feature 0 tracks a / k."""
+    a = np.concatenate([np.arange(k + 1), rng.integers(0, k + 1, n - k - 1)])
+    rng.shuffle(a)
+    x = rng.normal(0.0, 1.0, (n, d))
+    x[:, 0] = a / k + rng.normal(0.0, 0.3, n)
+    return [AgreementSample(x[i], int(a[i])) for i in range(n)]
+
+
+class TestMatchesReferenceLoops:
+    """`train`, every loss and every gradient equal the per-sample oracle exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(["AR", "AC", "OR", "RL"]),
+        k=st.integers(1, 9),
+        d=st.integers(1, 20),
+        extra=st.integers(0, 60),
+        batch_size=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 64, 1000]),
+        lr=st.floats(0.0, 3.0),
+        margin=st.floats(0.01, 1.0),
+        epochs=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_train_losses_and_gradients(self, method, k, d, extra, batch_size, lr, margin,
+                                        epochs, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, k + 1 + extra, d, k)
+        cfg = TrainConfig(method=method, learning_rate=lr, epochs=epochs,
+                          batch_size=batch_size, margin=margin, seed=seed)
+        try:
+            res = train(data, cfg, k=k)
+        except OverflowError:  # a diverging AR run overflows float ** in both
+            with pytest.raises(OverflowError):
+                ref_train(data, cfg, k)
+            return
+        ref_model, ref_trace = ref_train(data, cfg, k)
+        assert same_bits(res.loss_trace, ref_trace)
+        m = res.model
+        assert same_bits(m.weights, ref_model.weights)
+        assert same_bits(m.bias, ref_model.bias)
+        if method == "OR":
+            assert same_bits(m.thetas, ref_model.thetas)
+
+        batch = [data[i] for i in rng.integers(0, len(data), int(rng.integers(0, 20)))]
+        if method == "AR":
+            assert same_bits(loss_ar(m, batch, k), ref_loss_ar(m, batch, k))
+            assert same_bits(grad_ar(m, batch, k), ref_grad_ar(m, batch, k))
+        elif method == "AC":
+            assert same_bits(loss_ac(m, batch), ref_loss_ac(m, batch))
+            assert same_bits(grad_ac(m, batch), ref_grad_ac(m, batch))
+        elif method == "OR":
+            assert same_bits(loss_or(m, batch), ref_loss_or(m, batch))
+            assert same_bits(grad_or(m, batch), ref_grad_or(m, batch))
+        else:
+            tuples = make_tuples(data, 4, seed, k)
+            assert tuples == ref_make_tuples(data, 4, seed, k)
+            for tup in tuples:
+                assert same_bits(loss_rl(m, tup, margin), ref_loss_rl(m, tup, margin))
+                assert same_bits(grad_rl(m, tup, margin), ref_grad_rl(m, tup, margin))
+        ref_scores = [ref_score(m, s.features) for s in data]
+        assert same_bits(score_batch(m, [s.features for s in data]), ref_scores)
+        assert same_bits([score(m, s.features) for s in data], ref_scores)
+
+    def test_single_sample_losses(self):
+        """Per-item terms bit for bit: math.log and float ** differ from np.log and
+        np.square in the last bit on a few values per thousand, which summed batches
+        can hide."""
+        rng = np.random.default_rng(20)
+        data = random_dataset(rng, 3000, 3, K)
+        scalar = scalar_model(rng.normal(0, 2, 3), 0.3, np.linspace(-1.0, 1.0, K))
+        categorical = ScorerModel(
+            "categorical", rng.normal(0, 2, (K + 1, 3)), rng.normal(0, 1, K + 1)
+        )
+        for s in data:
+            assert same_bits(loss_ar(scalar, [s], K), ref_loss_ar(scalar, [s], K))
+            assert same_bits(loss_or(scalar, [s]), ref_loss_or(scalar, [s]))
+            assert same_bits(loss_ac(categorical, [s]), ref_loss_ac(categorical, [s]))
 
 
 class TestScore:
