@@ -110,17 +110,17 @@ def _check_thetas(thetas):
         raise UnorderedThetas("thresholds must be strictly increasing")
 
 
-def _check_dim(model, x):
-    if x.shape[0] != model.dim:
-        raise DimensionMismatch(f"feature length {x.shape[0]}, model expects {model.dim}")
-
-
 def _matrix(rows, dim: int) -> np.ndarray:
-    """The (n, dim) float matrix of a sequence of feature vectors."""
+    """The (n, dim) float matrix of a sequence of 1-D feature vectors of length ``dim``."""
     try:
-        return np.array(rows, dtype=float).reshape(len(rows), dim)
+        X = np.array(rows, dtype=float)
     except ValueError:
         raise DimensionMismatch(f"feature vectors must all have length {dim}") from None
+    if X.shape == (0,):
+        X = X.reshape(0, dim)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatch(f"feature vectors must be 1-D of length {dim}")
+    return X
 
 
 def _stack(samples, dim: int):
@@ -180,9 +180,7 @@ def score_batch(model: ScorerModel, features) -> np.ndarray:
 
 def score(model: ScorerModel, features) -> float:
     """Scalar objectness: w.x + b, or the expected class for a softmax head."""
-    x = np.asarray(features, dtype=float)
-    _check_dim(model, x)
-    return float(_scores(model, x[None, :])[0])
+    return float(_scores(model, _matrix([features], model.dim))[0])
 
 
 def expected_score(model: ScorerModel, features) -> float:
@@ -195,9 +193,7 @@ def expected_score(model: ScorerModel, features) -> float:
 def class_probs(model: ScorerModel, features) -> np.ndarray:
     if model.head != CATEGORICAL:
         raise HeadMismatch("class probabilities need a categorical head")
-    x = np.asarray(features, dtype=float)
-    _check_dim(model, x)
-    return _class_probs(model, x[None, :])[0]
+    return _class_probs(model, _matrix([features], model.dim))[0]
 
 
 # -- losses and analytic gradients -------------------------------------------

@@ -362,6 +362,13 @@ class TestScore:
         with pytest.raises(DimensionMismatch):
             score(scalar_model([1.0, 2.0], 0.0), [1.0])
 
+    @pytest.mark.parametrize("features", [[[1.0, 2.0]], [[1.0], [2.0]]])
+    def test_rejects_non_vector(self, features):
+        with pytest.raises(DimensionMismatch):
+            score(scalar_model([1.0, 2.0], 0.0), features)
+        with pytest.raises(DimensionMismatch):
+            score_batch(scalar_model([1.0, 2.0], 0.0), [features])
+
 
 class TestAr:
     def test_perfect_scores_zero_loss(self):
@@ -693,6 +700,20 @@ class TestRescoreAndFilter:
         objs = [ScoredObject(rng.normal(0, 1, 2), 0.5, payload=i) for i in range(10)]
         assert len(rescore_and_filter(objs, m, -math.inf)) == 10
         assert rescore_and_filter(objs, m, math.inf) == []
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_rejects_non_vector_features(self, shape):
+        m = scalar_model([1.0, 2.0, 3.0], 0.0)
+        objs = [ScoredObject(np.ones(shape), 0.5), ScoredObject(np.ones(shape), 0.5)]
+        with pytest.raises(DimensionMismatch):
+            rescore_and_filter(objs, m, 0.0)
+
+    def test_rejects_scalar_feature(self):
+        with pytest.raises(DimensionMismatch):
+            rescore_and_filter([ScoredObject(np.float64(1.0), 0.5)], scalar_model([1.0], 0.0), 0.0)
+
+    def test_empty(self):
+        assert rescore_and_filter([], scalar_model([1.0, 2.0], 0.0), 0.0) == []
 
     def test_filtering_matches_sort_order(self):
         rng = np.random.default_rng(19)
