@@ -18,7 +18,7 @@ import numpy as np
 from . import io
 from .annotate import fit_alpha, prune_far, sanitize_box
 from .density import DensityMap, DotAnnotation, KernelSpec, count, dots_to_density, local_peaks
-from .errors import MeshCountError, ParseError
+from .errors import MeshCountError, ParseError, TrainingDiverged
 from .geometry import (
     RansacParams,
     distance_violations,
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         rc = _COMMANDS[args.command](args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"meshcount {args.command}: {exc}", file=sys.stderr)
         return 1
     except MeshCountError as exc:

@@ -101,6 +101,10 @@ class ConstantInput(MeshCountError):
     """Correlation of a constant sequence is undefined."""
 
 
+class TrainingDiverged(MeshCountError):
+    """Gradient descent left the finite numbers; the learning rate is too high."""
+
+
 # -- annotate ---------------------------------------------------------------
 
 class DegenerateSamples(MeshCountError):

@@ -20,6 +20,7 @@ from .errors import (
 )
 
 _W_EPS = 1e-12  # homogeneous coordinate below this is "at infinity"
+_BLOCK_POINTS = 1 << 16  # RANSAC scores at most this many (sample, point) pairs at once
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,12 @@ def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
     d2 = _cross2(q2 - q1, p2 - q1)
     d3 = _cross2(p2 - p1, q1 - p1)
     d4 = _cross2(p2 - p1, q2 - p1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        # rounding gives collinear segments arbitrary cross-product signs;
+        # segments whose bounding boxes are disjoint cannot cross
+        return (min(p1[0], p2[0]) <= max(q1[0], q2[0]) and min(q1[0], q2[0]) <= max(p1[0], p2[0])
+                and min(p1[1], p2[1]) <= max(q1[1], q2[1]) and min(q1[1], q2[1]) <= max(p1[1], p2[1]))
+    return False
 
 
 def _is_simple(v: np.ndarray) -> bool:
@@ -217,26 +223,93 @@ def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 # -- homography estimation ---------------------------------------------------
 
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
-def _normalization_transform(pts: np.ndarray) -> np.ndarray:
-    """Hartley normalization: centroid to origin, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    d = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
-    if d <= _W_EPS:
-        raise DegenerateConfiguration("all points coincide")
-    s = math.sqrt(2.0) / d
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
+# `_dlt` status codes, in the order the estimation meets them; 0 is a usable fit
+_DLT_FAILURES = (
+    None,
+    (DegenerateConfiguration, "three of four source points are collinear"),
+    (DegenerateConfiguration, "all points coincide"),
+    (np.linalg.LinAlgError, "SVD did not converge"),
+    (DegenerateConfiguration, "design matrix is rank-deficient"),
+    (ValueError, "homography entries must be finite"),
+    (DegenerateConfiguration, "zero homography matrix"),
+    (DegenerateConfiguration, "homography is not invertible"),
+)
 
 
-def _collinear(a, b, c) -> bool:
+def _collinear(pts: np.ndarray) -> np.ndarray:
+    """Whether any three of each stack's four points are collinear."""
     # area below 1e-9 of the triple's bounding-box area counts as collinear
-    area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
-    pts = np.array([a, b, c])
-    span = pts.max(axis=0) - pts.min(axis=0)
-    box = max(span[0] * span[1], span[0] ** 2, span[1] ** 2, _W_EPS)
-    return area2 < 2e-9 * box
+    tri = pts[:, _TRIPLES]  # (b, 4 triples, 3 points, 2)
+    a, b, c = tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
+    area2 = np.abs((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                   - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
+    span = tri.max(axis=2) - tri.min(axis=2)
+    sx, sy = span[..., 0], span[..., 1]
+    box = np.maximum(np.maximum(sx * sy, sx**2), np.maximum(sy**2, _W_EPS))
+    return (area2 < 2e-9 * box).any(axis=1)
+
+
+def _normalization(pts: np.ndarray):
+    """Hartley normalization of (b, n, 2) stacks: centroid to origin, mean
+    distance sqrt(2). Returns (transforms, normalized points, coincident)."""
+    centroid = pts.mean(axis=1)
+    d = np.sqrt(((pts - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    s = math.sqrt(2.0) / d
+    t = np.zeros((pts.shape[0], 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, :2, 2] = -s[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    normalized = pts @ t[:, :2, :2].transpose(0, 2, 1) + t[:, None, :2, 2]
+    return t, normalized, d <= _W_EPS
+
+
+def _dlt(src: np.ndarray, dst: np.ndarray):
+    """Batched normalized DLT over (b, n, 2) point stacks.
+
+    Returns (b, 3, 3) matrices in `Homography`'s canonical scale and a (b,)
+    status: 0 for a usable fit, else an index into `_DLT_FAILURES` naming
+    the first check that fails. Entries of failed fits are meaningless.
+    """
+    b, n = src.shape[:2]
+    with np.errstate(all="ignore"):  # failed stacks may divide by zero
+        t_src, sh, coincide = _normalization(src)
+        t_dst, dh, coincide_dst = _normalization(dst)
+        a = np.zeros((b, 2 * n, 9))
+        a[:, 0::2, 0:2] = -sh
+        a[:, 0::2, 2] = -1.0
+        a[:, 0::2, 6:8] = sh * dh[:, :, 0:1]
+        a[:, 0::2, 8] = dh[:, :, 0]
+        a[:, 1::2, 3:5] = -sh
+        a[:, 1::2, 5] = -1.0
+        a[:, 1::2, 6:8] = sh * dh[:, :, 1:2]
+        a[:, 1::2, 8] = dh[:, :, 1]
+        finite = np.isfinite(a).all(axis=(1, 2))
+        a[~finite] = 0.0  # LAPACK fails on NaN and would fail the whole stack
+        # 4-point samples are 8 x 9: only the full V holds their null vector
+        _, s, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
+        deficient = s[:, 7] <= 1e-9 * s[:, 0]
+        early = coincide | coincide_dst | ~finite | deficient
+        t_dst[early] = np.eye(3)  # inv of a failed transform could raise
+        h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(b, 3, 3) @ t_src
+        flat = h.reshape(b, 9)
+        pivot = flat[np.arange(b), np.argmax(np.abs(flat), axis=1)]
+        h = h / pivot[:, None, None]
+        singular = np.abs(np.linalg.det(h)) <= _W_EPS
+    collinear = _collinear(src) if n == 4 else np.zeros(b, dtype=bool)
+    fails = (collinear, coincide | coincide_dst, ~finite, deficient,
+             ~np.isfinite(flat).all(axis=1), pivot == 0.0, singular)
+    return h, np.select(fails, np.arange(1, len(fails) + 1), 0)
+
+
+def _homography(src: np.ndarray, dst: np.ndarray) -> Homography:
+    """One DLT fit of (n, 2) arrays, raising what its first failed check names."""
+    h, status = _dlt(src[None], dst[None])
+    if status[0]:
+        exc, message = _DLT_FAILURES[status[0]]
+        raise exc(message)
+    return Homography(h[0])
 
 
 def _corr_arrays(corrs) -> tuple[np.ndarray, np.ndarray]:
@@ -259,32 +332,7 @@ def estimate_homography_dlt(corrs) -> Homography:
     n = len(corrs)
     if n < 4:
         raise TooFewPoints(f"need at least 4 correspondences, got {n}")
-    src, dst = _corr_arrays(corrs)
-    if n == 4:
-        for tri in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            if _collinear(*src[list(tri)]):
-                raise DegenerateConfiguration("three of four source points are collinear")
-    t_src = _normalization_transform(src)
-    t_dst = _normalization_transform(dst)
-    sh = src @ t_src[:2, :2].T + t_src[:2, 2]
-    dh = dst @ t_dst[:2, :2].T + t_dst[:2, 2]
-
-    a = np.zeros((2 * n, 9))
-    a[0::2, 0:2] = -sh
-    a[0::2, 2] = -1.0
-    a[0::2, 6:8] = sh * dh[:, 0:1]
-    a[0::2, 8] = dh[:, 0]
-    a[1::2, 3:5] = -sh
-    a[1::2, 5] = -1.0
-    a[1::2, 6:8] = sh * dh[:, 1:2]
-    a[1::2, 8] = dh[:, 1]
-
-    _, s, vt = np.linalg.svd(a)
-    if s[7] <= 1e-9 * s[0]:
-        raise DegenerateConfiguration("design matrix is rank-deficient")
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
-    return Homography(h)
+    return _homography(*_corr_arrays(corrs))
 
 
 def _project_array(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -307,27 +355,37 @@ def project_polygon(h: Homography, poly: Polygon) -> Polygon:
     return Polygon(_project_array(h.matrix, poly.vertices))
 
 
+def _one_way_errors(mats: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) distances from each (3, 3) matrix's image of ``a`` to ``b``;
+    inf where a point maps to infinity."""
+    hom = np.hstack([a, np.ones((a.shape[0], 1))]) @ mats.transpose(0, 2, 1)
+    w = hom[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(((hom[..., :2] / w[..., None] - b) ** 2).sum(axis=2))
+    return np.where(np.abs(w) > _W_EPS, d, np.inf)
+
+
+def _transfer_errors(mats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(m, n) symmetric transfer errors of invertible (m, 3, 3) matrices."""
+    fwd = _one_way_errors(mats, src, dst)
+    bwd = _one_way_errors(np.linalg.inv(mats), dst, src)
+    return np.where(np.isfinite(fwd) & np.isfinite(bwd), 0.5 * (fwd + bwd), np.inf)
+
+
 def symmetric_transfer_error(h: Homography, corrs) -> np.ndarray:
     """Per-pair mean of forward and backward reprojection distances."""
-    src, dst = _corr_arrays(corrs)
-    m = h.matrix
-    m_inv = np.linalg.inv(m)
-    err = np.full(src.shape[0], np.inf)
+    return _transfer_errors(h.matrix[None], *_corr_arrays(corrs))[0]
 
-    def _one_way(mat, a, b):
-        ones = np.ones((a.shape[0], 1))
-        hom = np.hstack([a, ones]) @ mat.T
-        w = hom[:, 2]
-        ok = np.abs(w) > _W_EPS
-        d = np.full(a.shape[0], np.inf)
-        d[ok] = np.sqrt(((hom[ok, :2] / w[ok, None] - b[ok]) ** 2).sum(axis=1))
-        return d
 
-    fwd = _one_way(m, src, dst)
-    bwd = _one_way(m_inv, dst, src)
-    both = np.isfinite(fwd) & np.isfinite(bwd)
-    err[both] = 0.5 * (fwd[both] + bwd[both])
-    return err
+def _budget(it: int, w: float, needed: int, confidence: float) -> int:
+    """Iterations needed after a new best consensus of inlier share ``w`` at ``it``."""
+    if w >= 1.0:
+        return it
+    if w > 0.0:
+        denom = math.log1p(-(w**4)) if w**4 < 1.0 else -np.inf
+        if denom < 0.0:
+            return min(needed, it + math.ceil(math.log(1.0 - confidence) / denom))
+    return needed
 
 
 def ransac_homography(corrs, params: RansacParams = RansacParams()):
@@ -337,12 +395,18 @@ def ransac_homography(corrs, params: RansacParams = RansacParams()):
     adaptively shrunk from the best inlier ratio at the requested confidence
     and capped at ``params.max_iterations``. Deterministic for a fixed seed.
 
+    Samples are fitted and scored in blocks that double in size (1, 1, 2,
+    4, ...) up to the remaining budget, then taken in draw order, so the
+    result is that of fitting one sample per iteration: fits drawn past the
+    stopping point are discarded.
+
     Returns (Homography refit on the consensus set, inlier mask).
     """
     corrs = list(corrs)
     n = len(corrs)
     if n < 4:
         raise TooFewPoints(f"need at least 4 correspondences, got {n}")
+    src, dst = _corr_arrays(corrs)
     rng = np.random.default_rng(params.seed)
 
     best_mask = None
@@ -351,31 +415,31 @@ def ransac_homography(corrs, params: RansacParams = RansacParams()):
     needed = params.max_iterations
     it = 0
     while it < min(params.max_iterations, needed):
-        it += 1
-        sample = rng.choice(n, size=4, replace=False)
-        try:
-            h = estimate_homography_dlt([corrs[k] for k in sample])
-        except DegenerateConfiguration:
-            continue
-        err = symmetric_transfer_error(h, corrs)
-        mask = err < params.inlier_threshold
-        count = int(mask.sum())
-        total = float(err[mask].sum()) if count else np.inf
-        if count > best_count or (count == best_count and total < best_err):
-            best_count = count
-            best_err = total
-            best_mask = mask
-            w = count / n
-            if w >= 1.0:
-                needed = it
-            elif w > 0.0:
-                denom = math.log1p(-(w**4)) if w**4 < 1.0 else -np.inf
-                if denom < 0.0:
-                    needed = min(needed, it + math.ceil(math.log(1.0 - params.confidence) / denom))
+        size = min(max(1, min(it, _BLOCK_POINTS // n)), min(params.max_iterations, needed) - it)
+        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
+        hs, status = _dlt(src[samples], dst[samples])
+        ok = status == 0
+        errs = _transfer_errors(np.where(ok[:, None, None], hs, np.eye(3)), src, dst)
+        masks = errs < params.inlier_threshold
+        counts = masks.sum(axis=1).tolist()
+        for k in range(size):
+            it += 1
+            if not ok[k]:
+                exc, message = _DLT_FAILURES[status[k]]
+                if exc is not DegenerateConfiguration:
+                    raise exc(message)
+            elif counts[k] >= best_count:  # a smaller consensus cannot win: skip its sum
+                count, mask = counts[k], masks[k]
+                total = float(errs[k][mask].sum()) if count else np.inf
+                if count > best_count or total < best_err:
+                    best_count, best_err, best_mask = count, total, mask
+                    needed = _budget(it, count / n, needed, params.confidence)
+            if it >= min(params.max_iterations, needed):
+                break
 
     if best_mask is None or best_count < 4:
         raise NoConsensus(f"best consensus has {best_count} inliers")
-    h = estimate_homography_dlt([c for c, m in zip(corrs, best_mask) if m])
+    h = _homography(src[best_mask], dst[best_mask])
     return h, [bool(b) for b in best_mask]
 
 

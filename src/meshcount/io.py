@@ -45,6 +45,13 @@ def _parse_int(cell: str, line: int, column: int) -> int:
         raise ParseError(f"expected an integer, got {cell!r}", line=line, column=column) from exc
 
 
+def _raise_bad_float(cells, line: int, first_column: int = 1):
+    """Raise ParseError at the first of ``cells`` that is not a finite number."""
+    for column, cell in enumerate(cells, start=first_column):
+        if not math.isfinite(_parse_float(cell, line, column)):
+            raise ParseError(f"expected a finite number, got {cell!r}", line=line, column=column)
+
+
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -84,8 +91,12 @@ def read_features_csv(path):
             raise ParseError(
                 f"expected {dim + 2} cells, got {len(row)}", line=ln, column=len(row) + 1
             )
-        vals = [_parse_float(c, ln, i + 1) for i, c in enumerate(row)]
-        out.append(Feature(Point2(vals[0], vals[1]), np.array(vals[2:])))
+        try:
+            x, y, *descriptor = map(float, row)
+            out.append(Feature(Point2(x, y), np.array(descriptor)))
+        except ValueError:
+            _raise_bad_float(row, ln)
+            raise
     return out
 
 
@@ -110,8 +121,12 @@ def read_correspondences_csv(path):
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
             raise ParseError(f"expected 4 cells, got {len(row)}", line=ln, column=len(row) + 1)
-        vals = [_parse_float(c, ln, i + 1) for i, c in enumerate(row)]
-        out.append(Correspondence(Point2(vals[0], vals[1]), Point2(vals[2], vals[3])))
+        try:
+            sx, sy, dx, dy = map(float, row)
+            out.append(Correspondence(Point2(sx, sy), Point2(dx, dy)))
+        except ValueError:
+            _raise_bad_float(row, ln)
+            raise
     return out
 
 
@@ -476,9 +491,7 @@ def _raise_bad_sample_cell(row, line: int):
     """Raise ParseError at the first cell of a sample row that is not valid."""
     if _parse_int(row[0], line, 1) < 0:
         raise ParseError(f"agreement must be non-negative, got {row[0]!r}", line=line, column=1)
-    for column, cell in enumerate(row[1:], start=2):
-        if not math.isfinite(_parse_float(cell, line, column)):
-            raise ParseError(f"expected a finite number, got {cell!r}", line=line, column=column)
+    _raise_bad_float(row[1:], line, first_column=2)
 
 
 def write_loss_trace_csv(path, trace):

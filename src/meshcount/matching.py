@@ -7,7 +7,6 @@ generator, never from image processing done here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +70,13 @@ def ratio_match(set_a, set_b, ratio: float = DEFAULT_RATIO):
         (da**2).sum(axis=1)[:, None] + (db**2).sum(axis=1)[None, :] - 2.0 * (da @ db.T),
         0.0,
     )
-    matches = []
-    single = db.shape[0] == 1
-    for i in range(da.shape[0]):
-        row = sq[i]
-        j = int(np.argmin(row))
-        d1 = float(np.sqrt(((db[j] - da[i]) ** 2).sum()))
-        if single:
-            matches.append(Match(i, j, d1))
-            continue
-        d2 = math.sqrt(float(np.partition(row, 1)[1]))
-        if d1 < ratio * d2:
-            matches.append(Match(i, j, d1))
-    return matches
+    j = np.argmin(sq, axis=1)
+    d1 = np.sqrt(((db[j] - da) ** 2).sum(axis=1))
+    if db.shape[0] == 1:
+        keep = np.arange(d1.size)
+    else:
+        keep = np.flatnonzero(d1 < ratio * np.sqrt(np.partition(sq, 1, axis=1)[:, 1]))
+    return [Match(*m) for m in zip(keep.tolist(), j[keep].tolist(), d1[keep].tolist())]
 
 
 def distance_filter(matches, max_dist: float):

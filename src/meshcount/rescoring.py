@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmptyAgreementLevel,
     HeadMismatch,
+    TrainingDiverged,
     UnorderedThetas,
 )
 
@@ -418,12 +419,28 @@ def _dataset_loss(model, X, a, items, config, k):
     return _or_loss(model, X, a) / a.size
 
 
+def _epoch_loss(model, X, a, items, config, k, epoch: int) -> float:
+    """The dataset loss after ``epoch`` epochs; raises TrainingDiverged when
+    it or the model is no longer finite."""
+    try:
+        loss = _dataset_loss(model, X, a, items, config, k)
+    except OverflowError:  # the AR loss squares Python floats
+        loss = math.inf
+    params = (model.weights, model.bias, () if model.thetas is None else model.thetas)
+    if not (math.isfinite(loss) and all(np.all(np.isfinite(p)) for p in params)):
+        raise TrainingDiverged(
+            f"training diverged in epoch {epoch} (loss {loss}); lower the learning rate"
+        )
+    return loss
+
+
 def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
     """Mini-batch gradient descent on the configured loss.
 
     Deterministic for a fixed seed; for RL the dataset is first expanded
     into one seeded tuple per sample. The loss trace holds the per-item
-    mean dataset loss before training and after every epoch.
+    mean dataset loss before training and after every epoch; when that
+    loss or the model stops being finite, TrainingDiverged names the epoch.
     """
     dataset = list(dataset)
     if not dataset:
@@ -441,9 +458,9 @@ def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
     else:
         items = np.arange(a.size)
 
-    trace = [_dataset_loss(model, X, a, items, config, k)]
+    trace = [_epoch_loss(model, X, a, items, config, k, 0)]
     lr = config.learning_rate
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(items))
         for start in range(0, len(items), config.batch_size):
             rows = items[order[start : start + config.batch_size]]
@@ -459,7 +476,7 @@ def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
                 model.thetas = _reorder_thetas(model.thetas - step * dtheta)
             model.weights = model.weights - step * dw
             model.bias = model.bias - step * db
-        trace.append(_dataset_loss(model, X, a, items, config, k))
+        trace.append(_epoch_loss(model, X, a, items, config, k, epoch))
     return TrainResult(model=model, loss_trace=trace)
 
 

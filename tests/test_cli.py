@@ -51,6 +51,49 @@ class TestCalibrate:
         assert rc == 1
 
 
+class TestMalformedCalibrationInputs:
+    """A bad feature or correspondence cell is a ParseError (exit 1) that
+    names its position, never a traceback."""
+
+    def run(self, capsys, argv, where):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert where in err
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            pytest.param("3.0,nan,0.1,0.2", "line 3, column 2", id="nan-keypoint"),
+            pytest.param("inf,1.0,0.1,0.2", "line 3, column 1", id="inf-keypoint"),
+            pytest.param("3.0,1.0,0.1,-inf", "line 3, column 4", id="inf-descriptor"),
+            pytest.param("3.0,1.0,x,nan", "line 3, column 3", id="non-numeric-first"),
+        ],
+    )
+    def test_bad_feature_cell(self, tmp_path, capsys, row, where):
+        good = tmp_path / "a.csv"
+        good.write_text("x,y,d0,d1\n1.0,2.0,0.5,0.5\n2.0,3.0,0.1,0.9\n")
+        bad = tmp_path / "b.csv"
+        bad.write_text(f"x,y,d0,d1\n1.0,2.0,0.5,0.5\n{row}\n")
+        self.run(capsys, ["calibrate", "--features-a", str(good), "--features-b", str(bad),
+                          "--out", str(tmp_path / "h.json")], where)
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            pytest.param("1.0,2.0,nan,4.0", "line 3, column 3", id="nan"),
+            pytest.param("1.0,2.0,3.0,inf", "line 3, column 4", id="inf"),
+            pytest.param("1.0,?,3.0,4.0", "line 3, column 2", id="non-numeric"),
+        ],
+    )
+    def test_bad_correspondence_cell(self, tmp_path, capsys, row, where):
+        path = tmp_path / "c.csv"
+        path.write_text(f"src_x,src_y,dst_x,dst_y\n0.0,0.0,1.0,1.0\n{row}\n")
+        self.run(capsys, ["calibrate", "--correspondences", str(path),
+                          "--out", str(tmp_path / "h.json")], where)
+
+
 class TestScenePipeline:
     def test_gen_scene_then_simulate(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"
@@ -297,6 +340,20 @@ class TestRescoreCommands:
         table = {row.split(",")[0]: row.split(",")[1]
                  for row in out.read_text().splitlines()[1:]}
         assert float(table["pearson_r"]) > 0.9
+
+    def test_diverging_run_exits_one_without_a_model(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        samples = tmp_path / "samples.csv"
+        io.write_samples_csv(samples, [AgreementSample(rng.normal(size=7), int(rng.integers(0, 10)))
+                                       for _ in range(134)])
+        model = tmp_path / "model.json"
+        with np.errstate(all="ignore"):
+            rc = main(["rescore-train", "--samples", str(samples), "--method", "AR", "--k", "9",
+                       "--lr", "2.5", "--batch", "1", "--epochs", "4", "--out", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "diverged in epoch 2" in err and "Traceback" not in err
+        assert not model.exists()
 
     def test_train_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(2)

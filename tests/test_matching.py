@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshcount.errors import DimensionMismatch, IndexOutOfRange
 from meshcount.geometry import Point2
@@ -17,7 +20,54 @@ def feat(x, y, desc):
     return Feature(Point2(x, y), np.asarray(desc, dtype=float))
 
 
+def ref_ratio_match(set_a, set_b, ratio):
+    """Reference oracle: the ratio test one A-feature at a time."""
+    da = np.vstack([f.descriptor for f in set_a])
+    db = np.vstack([f.descriptor for f in set_b])
+    sq = np.maximum(
+        (da**2).sum(axis=1)[:, None] + (db**2).sum(axis=1)[None, :] - 2.0 * (da @ db.T), 0.0
+    )
+    matches = []
+    for i in range(da.shape[0]):
+        j = int(np.argmin(sq[i]))
+        d1 = float(np.sqrt(((db[j] - da[i]) ** 2).sum()))
+        if db.shape[0] == 1 or d1 < ratio * math.sqrt(float(np.partition(sq[i], 1)[1])):
+            matches.append(Match(i, j, d1))
+    return matches
+
+
+@st.composite
+def descriptor_sets(draw):
+    """Two descriptor sets; coarse values and repeated rows make ties, and
+    some A rows are noisy copies of B rows so that matches pass the test."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    na, nb, d = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 24))
+    a, b = rng.normal(size=(na, d)), rng.normal(size=(nb, d))
+    if draw(st.booleans()):
+        a, b = np.round(a, 1), np.round(b, 1)
+        b[rng.integers(0, nb, nb // 2)] = b[0]
+    copies = draw(st.integers(0, na))
+    a[:copies] = b[rng.integers(0, nb, copies)] + rng.normal(0, draw(st.floats(0.0, 0.2)), (copies, d))
+    return [feat(0, 0, x) for x in a], [feat(0, 0, x) for x in b]
+
+
 class TestRatioMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(descriptor_sets(), st.floats(0.3, 0.99))
+    def test_matches_reference_loop_property(self, sets, ratio):
+        got = ratio_match(*sets, ratio)
+        want = ref_ratio_match(*sets, ratio)
+        assert [(m.idx_a, m.idx_b, m.dist.hex()) for m in got] == [
+            (m.idx_a, m.idx_b, m.dist.hex()) for m in want
+        ]
+        assert all(type(m.idx_a) is int and type(m.idx_b) is int for m in got)
+
+    def test_tied_nearest_takes_the_first_and_fails_the_ratio(self):
+        a = [feat(0, 0, [0.0, 0.0])]
+        b = [feat(0, 0, [1.0, 0.0]), feat(0, 0, [0.0, 5.0]), feat(0, 0, [0.0, 1.0])]
+        assert ratio_match(a, b, 0.99) == []
+        assert ref_ratio_match(a, b, 0.99) == []
+
     def test_exact_match_against_separated_pair(self):
         a = [feat(0, 0, [1.0, 0.0])]
         b = [feat(5, 5, [1.0, 0.0]), feat(9, 9, [0.0, 10.0])]

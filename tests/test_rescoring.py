@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from meshcount.errors import (
     DimensionMismatch,
     EmptyAgreementLevel,
     HeadMismatch,
+    TrainingDiverged,
     UnorderedThetas,
 )
 from meshcount.rescoring import (
@@ -252,6 +255,18 @@ def ref_train(dataset, cfg, k):
     return m, trace
 
 
+def ref_diverges(dataset, cfg, k):
+    """Whether the oracle overflows or ends with a non-finite loss or model."""
+    try:
+        m, trace = ref_train(dataset, cfg, k)
+    except OverflowError:
+        return True
+    params = [trace[-1], *np.ravel(m.weights), m.bias]
+    if m.thetas is not None:
+        params += list(m.thetas)
+    return not np.all(np.isfinite(params))
+
+
 def same_bits(x, y):
     """Equal values, NaN where the other has NaN, and equal signs of zero."""
     if isinstance(x, tuple):
@@ -294,9 +309,13 @@ class TestMatchesReferenceLoops:
                           batch_size=batch_size, margin=margin, seed=seed)
         try:
             res = train(data, cfg, k=k)
-        except OverflowError:  # a diverging AR run overflows float ** in both
-            with pytest.raises(OverflowError):
-                ref_train(data, cfg, k)
+        except TrainingDiverged as exc:
+            # the oracle is finite for the epochs before the one named and
+            # diverges in it (a diverging AR run overflows float ** there)
+            epoch = int(re.search(r"epoch (\d+)", str(exc)).group(1))
+            assert 1 <= epoch <= epochs
+            assert not ref_diverges(data, replace(cfg, epochs=epoch - 1), k)
+            assert ref_diverges(data, replace(cfg, epochs=epoch), k)
             return
         ref_model, ref_trace = ref_train(data, cfg, k)
         assert same_bits(res.loss_trace, ref_trace)
@@ -623,6 +642,22 @@ def synthetic_agreement_dataset(rng, n, noise=0.05):
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "n, d, k, lr, epochs, seed, where",
+        [
+            # the AR loss overflows Python float ** in epoch 2
+            pytest.param(134, 7, 9, 2.5, 4, 0, "epoch 2 (loss inf)", id="overflow"),
+            # the weights turn NaN in epoch 1
+            pytest.param(300, 4, 7, 40.0, 2, 3, "epoch 1 (loss nan)", id="nan"),
+        ],
+    )
+    def test_diverging_run_names_its_epoch(self, n, d, k, lr, epochs, seed, where):
+        rng = np.random.default_rng(seed)
+        data = [AgreementSample(rng.normal(size=d), int(rng.integers(0, k + 1))) for _ in range(n)]
+        cfg = TrainConfig(method="AR", learning_rate=lr, epochs=epochs, batch_size=1, seed=seed)
+        with pytest.raises(TrainingDiverged, match=re.escape(where)), np.errstate(all="ignore"):
+            train(data, cfg, k=k)
+
     def test_zero_epochs_leaves_initial_model(self):
         rng = np.random.default_rng(12)
         data = synthetic_agreement_dataset(rng, 50)
