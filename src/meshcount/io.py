@@ -1,8 +1,9 @@
 """File codecs: feature and correspondence CSVs, DMF1 density rasters,
 scenario JSON, scorer models, sample tables, and report emitters.
 
-Numeric CSV cells are written with repr() so decode(encode(x)) returns the
-same floats; malformed inputs raise ParseError with a position.
+Numeric CSV cells are finite numbers, written with repr() so decode(encode(x))
+returns the same floats; fixed-width tables are converted in one pass, and
+malformed inputs raise ParseError with a position.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .annotate import SkeletonBox
 from .density import DensityMap
-from .errors import ParseError, UnorderedThetas
+from .errors import DegenerateConfiguration, ParseError, UnorderedThetas
 from .geometry import Correspondence, Homography, Point2, Polygon
 from .matching import Feature
 from .metrics import ScoredDetection
@@ -27,15 +28,34 @@ from .rescoring import AgreementSample, ScorerModel
 DMF_MAGIC = b"DMF1"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _cell(value) -> str:
+    """The one typed-cell rule of every CSV writer: floats exact, None empty."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _parse_float(cell: str, line: int, column: int) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise ParseError(f"expected a number, got {cell!r}", line=line, column=column) from exc
+def _write_csv(path, header, rows):
+    """Comma-joined cells, one row per line; a ``header`` of None writes none."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_json(path, doc):
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_csv_and_json(base_path, header, rows, doc):
+    """CSV at ``base_path`` (suffix .csv) plus its JSON twin; returns both paths."""
+    base = Path(base_path)
+    csv_path = base if base.suffix == ".csv" else base.with_suffix(".csv")
+    json_path = csv_path.with_suffix(".json")
+    _write_csv(csv_path, header, rows)
+    _write_json(json_path, doc)
+    return csv_path, json_path
 
 
 def _parse_int(cell: str, line: int, column: int) -> int:
@@ -45,11 +65,83 @@ def _parse_int(cell: str, line: int, column: int) -> int:
         raise ParseError(f"expected an integer, got {cell!r}", line=line, column=column) from exc
 
 
-def _raise_bad_float(cells, line: int, first_column: int = 1):
-    """Raise ParseError at the first of ``cells`` that is not a finite number."""
-    for column, cell in enumerate(cells, start=first_column):
-        if not math.isfinite(_parse_float(cell, line, column)):
-            raise ParseError(f"expected a finite number, got {cell!r}", line=line, column=column)
+def _finite(cell: str, line: int, column: int) -> float:
+    """``cell`` as a finite float, or ParseError at its position."""
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise ParseError(f"expected a number, got {cell!r}", line=line, column=column) from exc
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {cell!r}", line=line, column=column)
+    return value
+
+
+def _matrix(rows, width: int, first_line: int, rule=None) -> np.ndarray:
+    """The CSV body ``rows`` as a (len(rows), width) matrix of finite floats.
+
+    ``rule`` is None or (columns, accepts, what): the cells of ``columns`` must
+    also pass ``accepts``, the elementwise test of the object built from them. The
+    whole body converts in one pass; only when that fails are the rows walked
+    in file order to raise ParseError at the first bad line and column.
+    """
+    columns, accepts, what = rule or (slice(0), None, "")
+    checked = range(width)[columns]
+    try:
+        values = np.array(rows, dtype=float).reshape(len(rows), width)
+    except ValueError:  # a row of another width, or a cell float() rejects
+        values = None
+    if values is not None and np.isfinite(values).all():
+        if not checked or accepts(values[:, columns]).all():
+            return values
+    for line, row in enumerate(rows, start=first_line):
+        if len(row) != width:
+            msg = f"expected {width} cells, got {len(row)}"
+            raise ParseError(msg, line=line, column=len(row) + 1)
+        for column, cell in enumerate(row, start=1):
+            value = _finite(cell, line, column)
+            if column - 1 in checked and not accepts(value):
+                raise ParseError(f"expected {what}, got {cell!r}", line=line, column=column)
+    raise AssertionError("the one-pass conversion rejected cells that float() accepts")
+
+
+def _read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from exc
+
+
+def _csv_body(path, kind: str, usage: str, accepts):
+    """(header, body rows) of a CSV whose header ``accepts``; else ParseError."""
+    rows = _read_rows(path)
+    if not rows or not accepts(rows[0]):
+        raise ParseError(f"{kind} file must start with header {usage}", line=1, column=1)
+    return rows[0], rows[1:]
+
+
+def _json_check(ok: bool, message: str):
+    if not ok:
+        raise ParseError(message, line=1, column=1)
+
+
+def _json_entry(entry, keys, where: str) -> dict:
+    """``entry`` if it is a JSON object holding all of ``keys``; else ParseError."""
+    _json_check(isinstance(entry, dict), f"{where} must be a JSON object")
+    for key in keys:
+        _json_check(key in entry, f"{where} lacks {key!r}")
+    return entry
+
+
+def _json_array(value, what: str) -> np.ndarray:
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        msg = f"{what} must be a number or a regular array of numbers"
+        raise ParseError(msg, line=1, column=1) from exc
+    _json_check(np.all(np.isfinite(array)), f"{what} holds a non-finite value")
+    return array
 
 
 def _read_json(path):
@@ -59,75 +151,34 @@ def _read_json(path):
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
-
-
 # -- features and correspondences ----------------------------------------------
 
 
 def write_features_csv(path, features):
     features = list(features)
     dim = features[0].descriptor.size if features else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["x", "y"] + [f"d{i}" for i in range(dim)]) + "\n")
-        for f in features:
-            cells = [_fmt(f.keypoint.x), _fmt(f.keypoint.y)]
-            cells += [_fmt(v) for v in f.descriptor]
-            fh.write(",".join(cells) + "\n")
+    rows = ([float(f.keypoint.x), float(f.keypoint.y), *f.descriptor.tolist()] for f in features)
+    _write_csv(path, ["x", "y"] + [f"d{i}" for i in range(dim)], rows)
 
 
 def read_features_csv(path):
-    rows = _read_rows(path)
-    if not rows or rows[0][:2] != ["x", "y"]:
-        raise ParseError("feature file must start with header x,y,d0,...", line=1, column=1)
-    dim = len(rows[0]) - 2
-    if dim < 1:
-        raise ParseError("header declares no descriptor columns", line=1, column=3)
-    out = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != dim + 2:
-            raise ParseError(
-                f"expected {dim + 2} cells, got {len(row)}", line=ln, column=len(row) + 1
-            )
-        try:
-            x, y, *descriptor = map(float, row)
-            out.append(Feature(Point2(x, y), np.array(descriptor)))
-        except ValueError:
-            _raise_bad_float(row, ln)
-            raise
-    return out
+    header, body = _csv_body(
+        path, "feature", "x,y,d0,...", lambda h: h[:2] == ["x", "y"] and len(h) > 2
+    )
+    values = _matrix(body, len(header), 2)
+    return [Feature(Point2(x, y), d) for (x, y), d in zip(values[:, :2].tolist(), values[:, 2:])]
 
 
 def write_correspondences_csv(path, corrs):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("src_x,src_y,dst_x,dst_y\n")
-        for c in corrs:
-            fh.write(
-                ",".join([_fmt(c.src.x), _fmt(c.src.y), _fmt(c.dst.x), _fmt(c.dst.y)]) + "\n"
-            )
+    rows = ([float(c.src.x), float(c.src.y), float(c.dst.x), float(c.dst.y)] for c in corrs)
+    _write_csv(path, ["src_x", "src_y", "dst_x", "dst_y"], rows)
 
 
 def read_correspondences_csv(path):
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["src_x", "src_y", "dst_x", "dst_y"]:
-        raise ParseError(
-            "correspondence file must start with header src_x,src_y,dst_x,dst_y",
-            line=1,
-            column=1,
-        )
-    out = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ParseError(f"expected 4 cells, got {len(row)}", line=ln, column=len(row) + 1)
-        try:
-            sx, sy, dx, dy = map(float, row)
-            out.append(Correspondence(Point2(sx, sy), Point2(dx, dy)))
-        except ValueError:
-            _raise_bad_float(row, ln)
-            raise
-    return out
+    header = ["src_x", "src_y", "dst_x", "dst_y"]
+    _, body = _csv_body(path, "correspondence", ",".join(header), lambda h: h == header)
+    values = _matrix(body, 4, 2).tolist()
+    return [Correspondence(Point2(sx, sy), Point2(dx, dy)) for sx, sy, dx, dy in values]
 
 
 # -- density rasters -------------------------------------------------------------
@@ -161,53 +212,38 @@ def read_density_dmf(path) -> DensityMap:
 
 
 def write_density_csv(path, density: DensityMap):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in density.values:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, None, density.values.tolist())
 
 
 def read_density_csv(path) -> DensityMap:
+    """Headerless: one raster row per line, every cell a non-negative number."""
     rows = _read_rows(path)
-    if not rows:
+    if not rows or not rows[0]:
         raise ParseError("empty density table", line=1, column=1)
-    width = len(rows[0])
-    grid = []
-    for ln, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"ragged row: {len(row)} cells vs {width}", line=ln, column=1)
-        grid.append([_parse_float(c, ln, i + 1) for i, c in enumerate(row)])
-    return DensityMap(np.array(grid))
+    rule = (slice(None), lambda v: v >= 0.0, "a non-negative density")
+    return DensityMap(_matrix(rows, len(rows[0]), 1, rule))
 
 
 # -- dot annotations --------------------------------------------------------------
 
 
 def write_dots_csv(path, points, sigmas=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,y,sigma\n" if sigmas is not None else "x,y\n")
-        for i, p in enumerate(points):
-            cells = [_fmt(p.x), _fmt(p.y)]
-            if sigmas is not None:
-                cells.append(_fmt(sigmas[i]))
-            fh.write(",".join(cells) + "\n")
+    rows = [[float(p.x), float(p.y)] for p in points]
+    if sigmas is None:
+        _write_csv(path, ["x", "y"], rows)
+    else:
+        rows = [row + [float(sigmas[i])] for i, row in enumerate(rows)]
+        _write_csv(path, ["x", "y", "sigma"], rows)
 
 
 def read_dots_csv(path):
     """Returns (points, sigmas-or-None)."""
-    rows = _read_rows(path)
-    if not rows or rows[0] not in (["x", "y"], ["x", "y", "sigma"]):
-        raise ParseError("dot file must start with header x,y[,sigma]", line=1, column=1)
-    with_sigma = rows[0] == ["x", "y", "sigma"]
-    points, sigmas = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        want = 3 if with_sigma else 2
-        if len(row) != want:
-            raise ParseError(f"expected {want} cells, got {len(row)}", line=ln, column=len(row) + 1)
-        vals = [_parse_float(c, ln, i + 1) for i, c in enumerate(row)]
-        points.append(Point2(vals[0], vals[1]))
-        if with_sigma:
-            sigmas.append(vals[2])
-    return points, (sigmas if with_sigma else None)
+    header, body = _csv_body(
+        path, "dot", "x,y[,sigma]", lambda h: h in (["x", "y"], ["x", "y", "sigma"])
+    )
+    values = _matrix(body, len(header), 2)
+    points = [Point2(x, y) for x, y in values[:, :2].tolist()]
+    return points, (values[:, 2].tolist() if len(header) == 3 else None)
 
 
 # -- detections for evaluation -----------------------------------------------------
@@ -228,32 +264,29 @@ def write_detections_csv(path, rows):
     if has_agreement:
         header.append("agreement")
     header.append("geom")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for image_id, class_id, score, agreement, geom in rows:
-            cells = [str(image_id), str(int(class_id))]
-            if has_score:
-                cells.append(_fmt(score if score is not None else 1.0))
-            if has_agreement:
-                cells.append(str(int(agreement)) if agreement is not None else "")
-            if isinstance(geom, Point2):
-                cells += [_fmt(geom.x), _fmt(geom.y)]
-            else:
-                for x, y in geom.vertices:
-                    cells += [_fmt(x), _fmt(y)]
-            fh.write(",".join(cells) + "\n")
+    lines = []
+    for image_id, class_id, score, agreement, geom in rows:
+        cells = [str(image_id), int(class_id)]
+        if has_score:
+            cells.append(float(score if score is not None else 1.0))
+        if has_agreement:
+            cells.append(int(agreement) if agreement is not None else None)
+        if isinstance(geom, Point2):
+            cells += [float(geom.x), float(geom.y)]
+        else:
+            cells += geom.vertices.ravel().tolist()
+        lines.append(cells)
+    _write_csv(path, header, lines)
 
 
 def read_detections_csv(path):
     """Returns a list of dicts with image_id, class_id, score, agreement, geom."""
-    rows = _read_rows(path)
-    if not rows or rows[0][:2] != ["image_id", "class_id"]:
-        raise ParseError(
-            "detection file must start with header image_id,class_id[,score][,agreement],geom",
-            line=1,
-            column=1,
-        )
-    header = rows[0]
+    header, body = _csv_body(
+        path,
+        "detection",
+        "image_id,class_id[,score][,agreement],geom",
+        lambda h: h[:2] == ["image_id", "class_id"],
+    )
     try:
         geom_at = header.index("geom")
     except ValueError as exc:
@@ -261,37 +294,27 @@ def read_detections_csv(path):
     score_at = header.index("score") if "score" in header else None
     agreement_at = header.index("agreement") if "agreement" in header else None
     out = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in enumerate(body, start=2):
         if len(row) < geom_at + 2:
             raise ParseError("row has no geometry cells", line=ln, column=len(row) + 1)
         cells = [c for c in row[geom_at:] if c != ""]
         if len(cells) % 2 != 0:
             raise ParseError("geometry needs an even number of cells", line=ln, column=geom_at + 1)
-        vals = [_parse_float(c, ln, geom_at + i + 1) for i, c in enumerate(cells)]
-        if len(vals) == 2:
-            geom = Point2(vals[0], vals[1])
-        elif len(vals) >= 6:
-            try:
-                geom = Polygon(list(zip(vals[0::2], vals[1::2])))
-            except ValueError as exc:
-                raise ParseError(f"invalid polygon: {exc}", line=ln, column=geom_at + 1) from exc
-        else:
-            raise ParseError(
-                "geometry must be x,y or at least three vertices", line=ln, column=geom_at + 1
-            )
-        out.append(
-            {
-                "image_id": row[0],
-                "class_id": _parse_int(row[1], ln, 2),
-                "score": _parse_float(row[score_at], ln, score_at + 1)
-                if score_at is not None
-                else 1.0,
-                "agreement": _parse_int(row[agreement_at], ln, agreement_at + 1)
-                if agreement_at is not None and row[agreement_at] != ""
-                else None,
-                "geom": geom,
-            }
-        )
+        vals = [_finite(c, ln, geom_at + i + 1) for i, c in enumerate(cells)]
+        if len(vals) in (0, 4):
+            msg = "geometry must be x,y or at least three vertices"
+            raise ParseError(msg, line=ln, column=geom_at + 1)
+        try:
+            geom = Point2(*vals) if len(vals) == 2 else Polygon(list(zip(vals[0::2], vals[1::2])))
+        except ValueError as exc:
+            raise ParseError(f"invalid polygon: {exc}", line=ln, column=geom_at + 1) from exc
+        class_id = _parse_int(row[1], ln, 2)
+        score = _finite(row[score_at], ln, score_at + 1) if score_at is not None else 1.0
+        agreement = None
+        if agreement_at is not None and row[agreement_at] != "":
+            agreement = _parse_int(row[agreement_at], ln, agreement_at + 1)
+        out.append({"image_id": row[0], "class_id": class_id, "score": score,
+                    "agreement": agreement, "geom": geom})
     return out
 
 
@@ -313,10 +336,7 @@ def write_scenario_json(path, scenario: Scenario):
         for frame_id in scenario.frames:
             dets = []
             for d in node.frames.get(frame_id, []):
-                entry = {
-                    "polygon": [float(v) for xy in d.polygon.vertices for v in xy],
-                    "score": float(d.score),
-                }
+                entry = {"polygon": d.polygon.vertices.ravel().tolist(), "score": float(d.score)}
                 if d.vehicle_id is not None:
                     entry["vehicle_id"] = int(d.vehicle_id)
                 dets.append(entry)
@@ -343,7 +363,7 @@ def write_scenario_json(path, scenario: Scenario):
                 for (s, d), h in sorted(gt.homographies.items())
             ],
         }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, doc)
 
 
 def _scenario_detection(d, where: str) -> Detection:
@@ -362,57 +382,76 @@ def _scenario_detection(d, where: str) -> Detection:
     return Detection(polygon=poly, score=float(score), vehicle_id=vehicle_id)
 
 
+def _scenario_node(nd, where: str, folder: Path) -> NodeSpec:
+    _json_entry(nd, ("id", "neighbors", "width", "height", "frames"), where)
+    neighbors, features_file = nd["neighbors"], nd.get("features_file")
+    ok = all(type(v) is int for v in (nd["id"], nd["width"], nd["height"]))
+    _json_check(ok, f"{where} needs integer 'id', 'width' and 'height'")
+    ok = isinstance(neighbors, list) and all(type(j) is int for j in neighbors)
+    _json_check(ok, f"{where} needs a list of integer 'neighbors'")
+    ok = isinstance(nd["frames"], list) and isinstance(features_file, (str, type(None)))
+    _json_check(ok, f"{where} needs a 'frames' list and a string 'features_file'")
+    frames = {}
+    for fidx, fr in enumerate(nd["frames"]):
+        at = f"{where} frame #{fidx}"
+        ok = isinstance(fr, dict) and type(fr.get("frame_id")) in (str, int)
+        ok = ok and isinstance(fr.get("detections", []), list)
+        _json_check(ok, f"{at} needs a string or integer 'frame_id' and a 'detections' list")
+        frames[fr["frame_id"]] = [
+            _scenario_detection(d, f"{at} detection #{didx}")
+            for didx, d in enumerate(fr.get("detections", []))
+        ]
+    return NodeSpec(
+        node_id=nd["id"],
+        neighbors=tuple(neighbors),
+        width=nd["width"],
+        height=nd["height"],
+        features=read_features_csv(folder / features_file) if features_file else [],
+        frames=frames,
+    )
+
+
+def _json_homography(matrix, where: str) -> Homography:
+    m = _json_array(matrix, f"{where} 'matrix'")
+    _json_check(m.shape == (3, 3), f"{where} 'matrix' must be 3x3")
+    try:
+        return Homography(m)
+    except DegenerateConfiguration as exc:
+        raise ParseError(f"{where} 'matrix': {exc}", line=1, column=1) from exc
+
+
+def _ground_truth(gt) -> GroundTruth:
+    _json_entry(gt, (), "ground_truth")
+    frames, homographies = gt.get("frames", []), gt.get("homographies", [])
+    _json_check(isinstance(frames, list) and isinstance(homographies, list),
+                "ground_truth 'frames' and 'homographies' must be lists")
+    counts, truth = {}, {}
+    for idx, fr in enumerate(frames):
+        where = f"ground_truth frame #{idx}"
+        _json_entry(fr, ("frame_id", "global_count"), where)
+        ok = type(fr["frame_id"]) in (str, int) and type(fr["global_count"]) is int
+        _json_check(ok, f"{where} needs a string or integer 'frame_id', integer 'global_count'")
+        counts[fr["frame_id"]] = fr["global_count"]
+    for idx, h in enumerate(homographies):
+        where = f"ground_truth homography #{idx}"
+        _json_entry(h, ("src", "dst", "matrix"), where)
+        ok = type(h["src"]) is int and type(h["dst"]) is int
+        _json_check(ok, f"{where} needs integer 'src' and 'dst'")
+        truth[(h["src"], h["dst"])] = _json_homography(h["matrix"], where)
+    return GroundTruth(global_counts=counts, homographies=truth)
+
+
 def read_scenario_json(path) -> Scenario:
     path = Path(path)
-    doc = _read_json(path)
-    if "nodes" not in doc:
-        raise ParseError("scenario lacks a nodes list", line=1, column=1)
-    nodes = []
-    for idx, nd in enumerate(doc["nodes"]):
-        for key in ("id", "neighbors", "width", "height", "frames"):
-            if key not in nd:
-                raise ParseError(f"node #{idx} lacks {key!r}", line=1, column=1)
-        features = []
-        if nd.get("features_file"):
-            features = read_features_csv(path.parent / nd["features_file"])
-        if not isinstance(nd["frames"], list):
-            raise ParseError(f"node #{idx} frames must be a list", line=1, column=1)
-        frames = {}
-        for fidx, fr in enumerate(nd["frames"]):
-            where = f"node #{idx} frame #{fidx}"
-            ok = isinstance(fr, dict) and type(fr.get("frame_id")) in (str, int)
-            if not ok or not isinstance(fr.get("detections", []), list):
-                msg = f"{where} needs a string or integer 'frame_id' and a 'detections' list"
-                raise ParseError(msg, line=1, column=1)
-            frames[fr["frame_id"]] = [
-                _scenario_detection(d, f"{where} detection #{didx}")
-                for didx, d in enumerate(fr.get("detections", []))
-            ]
-        nodes.append(
-            NodeSpec(
-                node_id=int(nd["id"]),
-                neighbors=tuple(int(j) for j in nd["neighbors"]),
-                width=int(nd["width"]),
-                height=int(nd["height"]),
-                features=features,
-                frames=frames,
-            )
-        )
-    ground_truth = None
-    if "ground_truth" in doc:
-        gt = doc["ground_truth"]
-        ground_truth = GroundTruth(
-            global_counts={
-                fr["frame_id"]: int(fr["global_count"]) for fr in gt.get("frames", [])
-            },
-            homographies={
-                (int(h["src"]), int(h["dst"])): Homography(h["matrix"])
-                for h in gt.get("homographies", [])
-            },
-        )
+    doc = _json_entry(_read_json(path), ("nodes",), "scenario")
+    _json_check(isinstance(doc["nodes"], list), "scenario 'nodes' must be a list")
+    nodes = [_scenario_node(nd, f"node #{i}", path.parent) for i, nd in enumerate(doc["nodes"])]
+    ground_truth = _ground_truth(doc["ground_truth"]) if "ground_truth" in doc else None
     frames = doc.get("frames")
     if frames is None:  # every frame id named by some node, in order of first mention
         frames = list(dict.fromkeys(f for node in nodes for f in node.frames))
+    ok = isinstance(frames, list) and all(type(f) in (str, int) for f in frames)
+    _json_check(ok, "scenario 'frames' must be a list of string or integer frame ids")
     return Scenario(nodes=nodes, frames=frames, ground_truth=ground_truth)
 
 
@@ -420,40 +459,26 @@ def read_scenario_json(path) -> Scenario:
 
 
 def write_model_json(path, model: ScorerModel):
-    doc = {
-        "head": model.head,
-        "weights": model.weights.tolist(),
-        "bias": model.bias if isinstance(model.bias, float) else list(model.bias),
-        "thetas": None if model.thetas is None else model.thetas.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _model_array(doc, key: str) -> np.ndarray:
-    try:
-        value = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(
-            f"model {key!r} must be a number or a regular array of numbers", line=1, column=1
-        ) from exc
-    if not np.all(np.isfinite(value)):
-        raise ParseError(f"model {key!r} holds a non-finite value", line=1, column=1)
-    return value
+    _write_json(
+        path,
+        {
+            "head": model.head,
+            "weights": model.weights.tolist(),
+            "bias": model.bias if isinstance(model.bias, float) else list(model.bias),
+            "thetas": None if model.thetas is None else model.thetas.tolist(),
+        },
+    )
 
 
 def read_model_json(path) -> ScorerModel:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("model must be a JSON object", line=1, column=1)
-    for key in ("head", "weights", "bias"):
-        if key not in doc:
-            raise ParseError(f"model lacks {key!r}", line=1, column=1)
+    doc = _json_entry(_read_json(path), ("head", "weights", "bias"), "model")
+    thetas = doc.get("thetas")
     try:
         return ScorerModel(
             head=doc["head"],
-            weights=_model_array(doc, "weights"),
-            bias=_model_array(doc, "bias"),
-            thetas=None if doc.get("thetas") is None else _model_array(doc, "thetas"),
+            weights=_json_array(doc["weights"], "model 'weights'"),
+            bias=_json_array(doc["bias"], "model 'bias'"),
+            thetas=None if thetas is None else _json_array(thetas, "model 'thetas'"),
         )
     except (ValueError, UnorderedThetas) as exc:
         raise ParseError(f"invalid model: {exc}", line=1, column=1) from exc
@@ -462,43 +487,21 @@ def read_model_json(path) -> ScorerModel:
 def write_samples_csv(path, samples):
     samples = list(samples)
     dim = samples[0].features.size if samples else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["agreement"] + [f"f{i}" for i in range(dim)]) + "\n")
-        for s in samples:
-            fh.write(",".join([str(int(s.agreement))] + [_fmt(v) for v in s.features]) + "\n")
+    rows = ([int(s.agreement), *s.features.tolist()] for s in samples)
+    _write_csv(path, ["agreement"] + [f"f{i}" for i in range(dim)], rows)
 
 
 def read_samples_csv(path):
-    rows = _read_rows(path)
-    if not rows or rows[0][:1] != ["agreement"]:
-        raise ParseError("sample file must start with header agreement,f0,...", line=1, column=1)
-    dim = len(rows[0]) - 1
-    if dim < 1:
-        raise ParseError("header declares no feature columns", line=1, column=2)
-    out = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != dim + 1:
-            raise ParseError(f"expected {dim + 1} cells, got {len(row)}", line=ln, column=len(row) + 1)
-        try:
-            out.append(AgreementSample(np.array(list(map(float, row[1:]))), int(row[0])))
-        except ValueError:
-            _raise_bad_sample_cell(row, ln)
-            raise
-    return out
-
-
-def _raise_bad_sample_cell(row, line: int):
-    """Raise ParseError at the first cell of a sample row that is not valid."""
-    if _parse_int(row[0], line, 1) < 0:
-        raise ParseError(f"agreement must be non-negative, got {row[0]!r}", line=line, column=1)
-    _raise_bad_float(row[1:], line, first_column=2)
+    header, body = _csv_body(
+        path, "sample", "agreement,f0,...", lambda h: h[:1] == ["agreement"] and len(h) > 1
+    )
+    rule = (slice(0, 1), lambda v: (v >= 0.0) & (v == np.floor(v)), "a non-negative integer")
+    values = _matrix(body, len(header), 2, rule)
+    return [AgreementSample(f, int(a)) for a, f in zip(values[:, 0].tolist(), values[:, 1:])]
 
 
 def write_loss_trace_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(trace):
-            fh.write(f"{epoch},{_fmt(loss)}\n")
+    _write_csv(path, ["epoch", "loss"], ([epoch, float(loss)] for epoch, loss in enumerate(trace)))
 
 
 # -- skeleton boxes -----------------------------------------------------------------
@@ -506,66 +509,43 @@ def write_loss_trace_csv(path, trace):
 
 def read_skeleton_csv(path):
     """Returns (boxes, measured_heights-or-None) from h_s,w_s,z[,h_m]."""
-    rows = _read_rows(path)
-    if not rows or rows[0] not in (["h_s", "w_s", "z"], ["h_s", "w_s", "z", "h_m"]):
-        raise ParseError("skeleton file must start with header h_s,w_s,z[,h_m]", line=1, column=1)
-    with_hm = len(rows[0]) == 4
-    boxes, measured = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        want = 4 if with_hm else 3
-        if len(row) != want:
-            raise ParseError(f"expected {want} cells, got {len(row)}", line=ln, column=len(row) + 1)
-        vals = [_parse_float(c, ln, i + 1) for i, c in enumerate(row)]
-        boxes.append(SkeletonBox(h_s=vals[0], w_s=vals[1], z=vals[2]))
-        if with_hm:
-            measured.append(vals[3])
-    return boxes, (measured if with_hm else None)
+    header, body = _csv_body(
+        path, "skeleton", "h_s,w_s,z[,h_m]",
+        lambda h: h in (["h_s", "w_s", "z"], ["h_s", "w_s", "z", "h_m"]),
+    )
+    values = _matrix(body, len(header), 2, (slice(0, 3), lambda v: v > 0.0, "a positive number"))
+    boxes = [SkeletonBox(h_s, w_s, z) for h_s, w_s, z in values[:, :3].tolist()]
+    return boxes, (values[:, 3].tolist() if len(header) == 4 else None)
 
 
 def write_sanitized_csv(path, boxes, sanitized):
     """Mirrors the input columns and appends the padded h_m, w_m."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("h_s,w_s,z,h_m,w_m\n")
-        for box, (h_m, w_m) in zip(boxes, sanitized):
-            fh.write(
-                ",".join([_fmt(box.h_s), _fmt(box.w_s), _fmt(box.z), _fmt(h_m), _fmt(w_m)]) + "\n"
-            )
+    rows = (
+        [float(box.h_s), float(box.w_s), float(box.z), float(h_m), float(w_m)]
+        for box, (h_m, w_m) in zip(boxes, sanitized)
+    )
+    _write_csv(path, ["h_s", "w_s", "z", "h_m", "w_m"], rows)
 
 
 # -- positions and homographies -------------------------------------------------------
 
 
 def read_positions_csv(path):
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["x", "y"]:
-        raise ParseError("position file must start with header x,y", line=1, column=1)
-    out = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"expected 2 cells, got {len(row)}", line=ln, column=len(row) + 1)
-        out.append(Point2(_parse_float(row[0], ln, 1), _parse_float(row[1], ln, 2)))
-    return out
+    _, body = _csv_body(path, "position", "x,y", lambda h: h == ["x", "y"])
+    return [Point2(x, y) for x, y in _matrix(body, 2, 2).tolist()]
 
 
 def write_positions_csv(path, points):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for p in points:
-            fh.write(f"{_fmt(p.x)},{_fmt(p.y)}\n")
+    _write_csv(path, ["x", "y"], ([float(p.x), float(p.y)] for p in points))
 
 
 def write_homography_json(path, h: Homography):
-    Path(path).write_text(
-        json.dumps({"matrix": h.matrix.tolist()}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(path, {"matrix": h.matrix.tolist()})
 
 
 def read_homography_json(path) -> Homography:
-    doc = _read_json(path)
-    if "matrix" not in doc:
-        raise ParseError("homography file lacks 'matrix'", line=1, column=1)
-    return Homography(doc["matrix"])
+    doc = _json_entry(_read_json(path), ("matrix",), "homography file")
+    return _json_homography(doc["matrix"], "homography file")
 
 
 # -- reports ---------------------------------------------------------------------------
@@ -577,22 +557,6 @@ def write_report(base_path, report: Report):
     ``base_path`` may carry a .csv suffix or none; the JSON twin sits next
     to it with a .json suffix.
     """
-    base = Path(base_path)
-    csv_path = base if base.suffix == ".csv" else base.with_suffix(".csv")
-    json_path = csv_path.with_suffix(".json")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(Report.ROW_FIELDS) + "\n")
-        for row in report.frames:
-            cells = []
-            for key in Report.ROW_FIELDS:
-                v = row[key]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
     doc = {
         "frames": report.frames,
         "summary": report.summary,
@@ -602,13 +566,8 @@ def write_report(base_path, report: Report):
                 "frame_id": d["frame_id"],
                 "etas": {str(k): v for k, v in d["etas"].items()},
                 "pairs": [
-                    {
-                        "pair": list(p["pair"]),
-                        "mu_ij": p["mu_ij"],
-                        "mu_ji": p["mu_ji"],
-                        "aggregated": p["aggregated"],
-                        "skipped_projections": p["skipped_projections"],
-                    }
+                    {"pair": list(p["pair"])}
+                    | {k: p[k] for k in ("mu_ij", "mu_ji", "aggregated", "skipped_projections")}
                     for p in d["pairs"]
                 ],
                 "triple_overlap_candidates": d["triple_overlap_candidates"],
@@ -616,21 +575,11 @@ def write_report(base_path, report: Report):
             for d in report.diagnostics
         ],
     }
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return csv_path, json_path
+    rows = [[row[key] for key in Report.ROW_FIELDS] for row in report.frames]
+    return _write_csv_and_json(base_path, Report.ROW_FIELDS, rows, doc)
 
 
 def write_table(base_path, header, rows):
     """Generic metric table as CSV plus a JSON twin; returns both paths."""
-    base = Path(base_path)
-    csv_path = base if base.suffix == ".csv" else base.with_suffix(".csv")
-    json_path = csv_path.with_suffix(".json")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            )
     doc = [{k: v for k, v in zip(header, row)} for row in rows]
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return csv_path, json_path
+    return _write_csv_and_json(base_path, header, rows, doc)

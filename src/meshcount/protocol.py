@@ -134,7 +134,6 @@ class NodeState:
     homographies: dict = field(default_factory=dict)  # neighbor -> H mapping them to us
     last_masks: list = field(default_factory=list)
     eta: int = 0
-    mu_sent: dict = field(default_factory=dict)
 
 
 # -- protocol operations -------------------------------------------------------
@@ -307,7 +306,6 @@ class Simulator:
                 self.config.tau,
                 (node.width, node.height),
             )
-            state.mu_sent[msg.src] = outcome.mu
             self._queue.append(
                 Message(MU_REPORT, node.node_id, SINK, (msg.src, outcome))
             )

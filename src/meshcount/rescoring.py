@@ -434,6 +434,7 @@ def _epoch_loss(model, X, a, items, config, k, epoch: int) -> float:
     return loss
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is TrainingDiverged
 def train(dataset, config: TrainConfig, k: int = DEFAULT_K) -> TrainResult:
     """Mini-batch gradient descent on the configured loss.
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,21 @@ class TestRescoreCommands:
         assert "diverged in epoch 2" in err and "Traceback" not in err
         assert not model.exists()
 
+    def test_diverging_run_prints_no_numpy_warnings(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        samples = tmp_path / "samples.csv"
+        rows = [AgreementSample(rng.normal(size=7), int(rng.integers(0, 10))) for _ in range(134)]
+        io.write_samples_csv(samples, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rescore-train", "--samples", str(samples), "--method", "AR", "--k", "9",
+                       "--lr", "1e3", "--batch", "1", "--epochs", "3",
+                       "--out", str(tmp_path / "model.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.strip().endswith("lower the learning rate")
+        assert "diverged in epoch 1" in err and "Warning" not in err
+
     def test_train_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(2)
         samples = self.make_samples(tmp_path, rng, n=60)
@@ -434,6 +450,53 @@ class TestMalformedRescoreInputs:
                                 "--gt", str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")])
         assert "self-intersecting" in err
         assert "line 3, column 4" in err
+
+
+class TestMalformedNumericCells:
+    """A non-finite cell, or one the built object rejects, in a dots, skeleton,
+    positions or detections file is a ParseError (exit 1) at its line and
+    column, never a traceback."""
+
+    def run(self, capsys, argv, where):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert where in err
+
+    def test_dots_sigma_inf(self, tmp_path, capsys):
+        dots = tmp_path / "dots.csv"
+        dots.write_text("x,y,sigma\n4.0,5.0,1.5\n8.0,9.0,inf\n")
+        self.run(capsys, ["density", "--dots", str(dots), "--width", "16", "--height", "16",
+                          "--out", str(tmp_path / "d.dmf")], "line 3, column 3")
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            pytest.param("100.0,inf,10.0", "line 3, column 2", id="inf-width"),
+            pytest.param("100.0,40.0,0.0", "line 3, column 3", id="zero-distance"),
+        ],
+    )
+    def test_skeleton_cell(self, tmp_path, capsys, row, where):
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text(f"h_s,w_s,z\n100.0,40.0,10.0\n{row}\n")
+        out = tmp_path / "out.csv"
+        self.run(capsys, ["sanitize-bboxes", "--in", str(boxes), "--alpha", "1.2",
+                          "--out", str(out)], where)
+        assert not out.exists()
+
+    def test_nan_position(self, tmp_path, capsys):
+        positions = tmp_path / "pos.csv"
+        positions.write_text("x,y\n1.0,2.0\n3.0,nan\n")
+        self.run(capsys, ["distance-check", "--positions", str(positions),
+                          "--out", str(tmp_path / "v.csv")], "line 3, column 2")
+
+    def test_nan_detection_point(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text("image_id,class_id,score,geom\nimg,0,0.5,nan,2.0\n")
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"), "--gt",
+                          str(tmp_path / "g.csv"), "--mode", "point",
+                          "--out", str(tmp_path / "m.csv")], "line 2, column 4")
 
 
 class TestSanitize:

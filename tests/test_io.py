@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshcount import io
 from meshcount.density import DensityMap
@@ -230,3 +233,279 @@ class TestSkeletonCsv:
         path2.write_text("h_s,w_s,z,h_m\n100.0,40.0,10.0,120.0\n")
         _, measured2 = io.read_skeleton_csv(path2)
         assert measured2 == [120.0]
+
+
+# -- the one CSV codec ------------------------------------------------------------
+
+
+def tricky_floats(seed, n):
+    """``n`` finite doubles: edge values first, then random bit patterns of
+    every magnitude (subnormals and -0.0 included)."""
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    bits = np.random.default_rng(seed).integers(0, 2**64, 4 * n, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return np.concatenate([edges, values[np.isfinite(values)]])[:n]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCsvRoundTrips:
+    """Write, read back, write again: each value survives bit for bit and the
+    second file is byte-identical to the first."""
+
+    def round_trip(self, tmp_path, write, read, obj):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write(first, obj)
+        back = read(first)
+        write(second, back)
+        assert first.read_bytes() == second.read_bytes()
+        return back
+
+    def test_features(self, tmp_path):
+        v = tricky_floats(1, 70).reshape(10, 7)
+        feats = [Feature(Point2(x, y), d) for (x, y), d in zip(v[:, :2].tolist(), v[:, 2:])]
+        back = self.round_trip(tmp_path, io.write_features_csv, io.read_features_csv, feats)
+        assert same_bits([[f.keypoint.x, f.keypoint.y, *f.descriptor] for f in back], v)
+
+    def test_correspondences(self, tmp_path):
+        v = tricky_floats(2, 40).reshape(10, 4)
+        corrs = [Correspondence(Point2(a, b), Point2(c, d)) for a, b, c, d in v.tolist()]
+        back = self.round_trip(
+            tmp_path, io.write_correspondences_csv, io.read_correspondences_csv, corrs
+        )
+        assert same_bits([[c.src.x, c.src.y, c.dst.x, c.dst.y] for c in back], v)
+
+    def test_density(self, tmp_path):
+        v = np.abs(tricky_floats(3, 35)).reshape(5, 7)
+        back = self.round_trip(tmp_path, io.write_density_csv, io.read_density_csv, DensityMap(v))
+        assert same_bits(back.values, v)
+
+    @pytest.mark.parametrize("with_sigma", [False, True])
+    def test_dots(self, tmp_path, with_sigma):
+        v = tricky_floats(4, 30).reshape(10, 3)
+        points = [Point2(x, y) for x, y in v[:, :2].tolist()]
+        sigmas = v[:, 2].tolist() if with_sigma else None
+        back_points, back_sigmas = self.round_trip(
+            tmp_path, lambda p, o: io.write_dots_csv(p, *o), io.read_dots_csv, (points, sigmas)
+        )
+        assert same_bits([[p.x, p.y] for p in back_points], v[:, :2])
+        assert back_sigmas is None if not with_sigma else same_bits(back_sigmas, v[:, 2])
+
+    def test_positions(self, tmp_path):
+        v = tricky_floats(5, 20).reshape(10, 2)
+        points = [Point2(x, y) for x, y in v.tolist()]
+        back = self.round_trip(tmp_path, io.write_positions_csv, io.read_positions_csv, points)
+        assert same_bits([[p.x, p.y] for p in back], v)
+
+    def test_samples(self, tmp_path):
+        v = tricky_floats(6, 40).reshape(10, 4)
+        samples = [AgreementSample(f, a) for a, f in enumerate(v)]
+        back = self.round_trip(tmp_path, io.write_samples_csv, io.read_samples_csv, samples)
+        assert [s.agreement for s in back] == list(range(10))
+        assert same_bits([s.features for s in back], v)
+
+    def test_detections(self, tmp_path):
+        v = tricky_floats(7, 24).reshape(12, 2)
+        rng = np.random.default_rng(7)
+        rows = [(f"img{i % 3}", i % 2, float(s), i if i % 4 else None, Point2(x, y))
+                for i, ((x, y), s) in enumerate(zip(v.tolist(), rng.uniform(0, 1, 12)))]
+        box = Polygon.box(*rng.uniform(0, 50, 2), *rng.uniform(60, 99, 2))
+        rows.append(("img0", 1, None, None, box))
+
+        def as_rows(records):
+            return [(r["image_id"], r["class_id"], r["score"], r["agreement"], r["geom"])
+                    for r in records]
+
+        back = self.round_trip(
+            tmp_path, io.write_detections_csv, lambda p: as_rows(io.read_detections_csv(p)), rows
+        )
+        assert same_bits([[r[4].x, r[4].y] for r in back[:12]], v)
+        assert same_bits(back[-1][4].vertices, rows[-1][4].vertices)
+        assert [r[:2] + r[3:4] for r in back] == [r[:2] + r[3:4] for r in rows]
+
+    def test_skeleton_values_reach_the_sanitized_file(self, tmp_path):
+        v = np.abs(tricky_floats(8, 38)[2:]).reshape(9, 4)  # skip the zeros
+        path = tmp_path / "s.csv"
+        body = "".join(",".join(map(repr, r)) + "\n" for r in v.tolist())
+        path.write_text("h_s,w_s,z,h_m\n" + body)
+        boxes, measured = io.read_skeleton_csv(path)
+        assert same_bits([[b.h_s, b.w_s, b.z] for b in boxes], v[:, :3])
+        assert same_bits(measured, v[:, 3])
+        io.write_sanitized_csv(tmp_path / "out.csv", boxes, [(m, m) for m in measured])
+        cells = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert same_bits([[float(c) for c in row[:4]] for row in cells], v)
+
+
+class TestPositionedCsvErrors:
+    """A cell that is not a finite number, a row of the wrong width, or a value
+    the built object rejects is a ParseError at its line and column; the first
+    such cell in file order is the one reported."""
+
+    @pytest.mark.parametrize(
+        "read, text, line, column",
+        [
+            pytest.param(io.read_dots_csv, "x,y,sigma\n1.0,2.0,0.5\n3.0,4.0,inf\n", 3, 3,
+                         id="dots-inf-sigma"),
+            pytest.param(io.read_skeleton_csv, "h_s,w_s,z\n100.0,40.0,10.0\n90.0,inf,12.0\n",
+                         3, 2, id="skeleton-inf-width"),
+            pytest.param(io.read_skeleton_csv, "h_s,w_s,z,h_m\n100.0,40.0,0.0,120.0\n", 2, 3,
+                         id="skeleton-zero-field"),
+            pytest.param(io.read_skeleton_csv, "h_s,w_s,z,h_m\n-1.0,40.0,2.0,-3.0\n", 2, 1,
+                         id="skeleton-negative-field"),
+            pytest.param(io.read_positions_csv, "x,y\n1.0,2.0\nnan,3.0\n", 3, 1,
+                         id="position-nan"),
+            pytest.param(io.read_detections_csv,
+                         "image_id,class_id,score,geom\nimg,0,0.5,1.0,2.0\nimg,0,0.5,1.0,nan\n",
+                         3, 5, id="detection-nan-point"),
+            pytest.param(io.read_detections_csv,
+                         "image_id,class_id,score,geom\nimg,0,inf,1.0,2.0\n", 2, 3,
+                         id="detection-inf-score"),
+            pytest.param(io.read_density_csv, "0.0,1.0\n0.5,nan\n", 2, 2, id="density-nan"),
+            pytest.param(io.read_density_csv, "0.0,1.0\n0.5,2.0\n-0.5,2.0\n", 3, 1,
+                         id="density-negative"),
+            pytest.param(io.read_density_csv, "0.0,1.0\n0.5\n", 2, 2, id="density-short-row"),
+            pytest.param(io.read_samples_csv, "agreement,f0\n1,0.5\n2.5,0.1\n1,nan\n", 3, 1,
+                         id="samples-non-integer-before-nan"),
+            pytest.param(io.read_samples_csv, "agreement,f0\n1,nan\n-1,0.1\n", 2, 2,
+                         id="samples-nan-before-negative"),
+            pytest.param(io.read_samples_csv, "agreement,f0\n-1,nan\n", 2, 1,
+                         id="samples-agreement-before-feature"),
+            pytest.param(io.read_features_csv, "x,y,d0\n1.0,2.0,3.0\n1.0,2.0\n", 3, 3,
+                         id="features-short-row"),
+            pytest.param(io.read_correspondences_csv,
+                         "src_x,src_y,dst_x,dst_y\n1,x,3,4\n1,2,3,4,5\n", 2, 2,
+                         id="bad-cell-before-long-row"),
+            pytest.param(io.read_correspondences_csv,
+                         "src_x,src_y,dst_x,dst_y\n1,2,3,4,5\n1,x,3,4\n", 2, 6,
+                         id="long-row-before-bad-cell"),
+        ],
+    )
+    def test_first_bad_cell(self, tmp_path, read, text, line, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_oversized_cell_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n1.0,2.0\n1.0," + "2" * 200_000 + "\n")
+        with pytest.raises(ParseError) as err:
+            io.read_positions_csv(path)
+        assert err.value.line == 3
+
+
+CSV_READERS = {
+    io.read_features_csv: ["x,y,d0,d1", "x,y,d0", "x,y"],
+    io.read_correspondences_csv: ["src_x,src_y,dst_x,dst_y"],
+    io.read_density_csv: [],
+    io.read_dots_csv: ["x,y", "x,y,sigma"],
+    io.read_detections_csv: ["image_id,class_id,geom", "image_id,class_id,score,agreement,geom"],
+    io.read_samples_csv: ["agreement,f0,f1", "agreement"],
+    io.read_skeleton_csv: ["h_s,w_s,z", "h_s,w_s,z,h_m"],
+    io.read_positions_csv: ["x,y"],
+}
+
+fuzz_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "", " ", "x", "0x10", "1_0"]),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+)
+
+
+class TestCsvFuzz:
+    """Every CSV reader either returns or raises ParseError with a line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        read=st.sampled_from(list(CSV_READERS)),
+        data=st.data(),
+        rows=st.lists(st.lists(fuzz_cells, max_size=9), max_size=6),
+    )
+    def test_returns_or_raises_a_positioned_parse_error(self, tmp_path_factory, read, data, rows):
+        header = data.draw(st.sampled_from(CSV_READERS[read] + ["a,b"]))
+        lines = ([header] if read is not io.read_density_csv else []) + [",".join(r) for r in rows]
+        path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            read(path)
+        except ParseError as exc:
+            assert exc.line is not None
+
+
+GOOD_MATRIX = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+class TestMalformedJsonEntries:
+    """A JSON document or entry of the wrong shape is a ParseError at line 1,
+    column 1 that names the entry, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "read, doc, names",
+        [
+            pytest.param(io.read_homography_json, 5, "homography file must be a JSON object",
+                         id="homography-not-an-object"),
+            pytest.param(io.read_scenario_json, 5, "scenario must be a JSON object",
+                         id="scenario-not-an-object"),
+            pytest.param(io.read_scenario_json, {"nodes": [5]}, "node #0 must be a JSON object",
+                         id="node-not-an-object"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [{"id": None, "neighbors": [], "width": 8, "height": 8,
+                                     "frames": []}]},
+                         "node #0 needs integer 'id'", id="node-id-null"),
+            pytest.param(io.read_scenario_json, {"nodes": [], "ground_truth": [1]},
+                         "ground_truth must be a JSON object", id="ground-truth-not-an-object"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [], "ground_truth": {"frames": [{"frame_id": "a"}]}},
+                         "ground_truth frame #0 lacks 'global_count'", id="frame-missing-key"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [], "ground_truth": {"frames": [{"frame_id": "a",
+                                                                    "global_count": "3"}]}},
+                         "ground_truth frame #0 needs", id="frame-mistyped-count"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [], "ground_truth": {"homographies": [{"src": 0, "dst": 1}]}},
+                         "ground_truth homography #0 lacks 'matrix'", id="homography-missing-key"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [], "ground_truth": {"homographies": [
+                             {"src": "0", "dst": 1, "matrix": GOOD_MATRIX}]}},
+                         "ground_truth homography #0 needs integer", id="homography-mistyped-src"),
+            pytest.param(io.read_scenario_json,
+                         {"nodes": [], "ground_truth": {"homographies": [
+                             {"src": 0, "dst": 1, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}},
+                         "ground_truth homography #0 'matrix' must be 3x3", id="matrix-2x2"),
+            pytest.param(io.read_homography_json, {"matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+                         "'matrix' must be a number or a regular array", id="matrix-ragged"),
+            pytest.param(io.read_homography_json, {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]},
+                         "'matrix' must be a number or a regular array", id="matrix-text"),
+            pytest.param(io.read_homography_json,
+                         {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, float("nan")]]},
+                         "'matrix' holds a non-finite value", id="matrix-nan"),
+            pytest.param(io.read_homography_json, {"matrix": [[10**400] * 3] * 3},
+                         "'matrix' must be a number or a regular array", id="matrix-overflow"),
+            pytest.param(io.read_homography_json, {"matrix": [[0.0] * 3] * 3},
+                         "zero homography matrix", id="matrix-zero"),
+        ],
+    )
+    def test_bad_entry(self, tmp_path, read, doc, names):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert names in str(err.value)
+
+    def test_ground_truth_round_trip(self, tmp_path):
+        spec = SyntheticSceneSpec(n_cameras=3, n_vehicles=8, overlap=0.4, warp="projective",
+                                  n_frames=2, seed=5)
+        scenario = generate_scene(spec)
+        io.write_scenario_json(tmp_path / "a.json", scenario)
+        back = io.read_scenario_json(tmp_path / "a.json")
+        truth, back_truth = scenario.ground_truth, back.ground_truth
+        assert back_truth.global_counts == truth.global_counts
+        assert back_truth.homographies.keys() == truth.homographies.keys()
+        for key, h in truth.homographies.items():
+            assert same_bits(back_truth.homographies[key].matrix, h.matrix)
