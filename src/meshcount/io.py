@@ -28,20 +28,19 @@ from .rescoring import AgreementSample, ScorerModel
 DMF_MAGIC = b"DMF1"
 
 
-def _cell(value) -> str:
-    """The one typed-cell rule of every CSV writer: floats exact, None empty."""
-    if value is None:
-        return ""
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path, header, rows):
-    """Comma-joined cells, one row per line; a ``header`` of None writes none."""
+    """Comma-joined cells, one row per line, by the one typed-cell rule: a float
+    as its repr() (exact), None as an empty cell, anything else as str(). A
+    ``header`` of None writes none."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            cells = [
+                repr(float(v)) if isinstance(v, float) else ("" if v is None else str(v))
+                for v in row
+            ]
+            fh.write(",".join(cells) + "\n")
 
 
 def _write_json(path, doc):

@@ -323,6 +323,7 @@ class TestCsvRoundTrips:
             tmp_path, io.write_detections_csv, lambda p: as_rows(io.read_detections_csv(p)), rows
         )
         assert same_bits([[r[4].x, r[4].y] for r in back[:12]], v)
+        assert same_bits([r[2] for r in back[:12]], [r[2] for r in rows[:12]])
         assert same_bits(back[-1][4].vertices, rows[-1][4].vertices)
         assert [r[:2] + r[3:4] for r in back] == [r[:2] + r[3:4] for r in rows]
 
