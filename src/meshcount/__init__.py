@@ -97,7 +97,6 @@ from .metrics import (
 )
 from .protocol import (
     Detection,
-    FrameResult,
     GroundTruth,
     Message,
     NodeSpec,

@@ -26,7 +26,6 @@ from .geometry import (
     ransac_homography,
     symmetric_transfer_error,
 )
-from .matching import distance_filter, default_max_dist, ratio_match, to_correspondences
 from .metrics import (
     CountPair,
     agreement_filtered_counts,
@@ -41,7 +40,7 @@ from .metrics import (
     precision_recall_f1,
     rmse,
 )
-from .protocol import ProtocolConfig, run_scenario
+from .protocol import ProtocolConfig, _pairwise_homography, run_scenario
 from .rescoring import TrainConfig, pearson_r, score_batch, train
 from .synth import SyntheticSceneSpec, generate_scene
 
@@ -187,6 +186,7 @@ def _ransac_params(args) -> RansacParams:
 def _cmd_calibrate(args) -> int:
     if args.correspondences:
         corrs = io.read_correspondences_csv(args.correspondences)
+        h, mask = ransac_homography(corrs, _ransac_params(args))
     else:
         if not (args.features_a and args.features_b):
             print("calibrate: need --correspondences or both --features-a/--features-b",
@@ -194,11 +194,9 @@ def _cmd_calibrate(args) -> int:
             return 1
         fa = io.read_features_csv(args.features_a)
         fb = io.read_features_csv(args.features_b)
-        matches = ratio_match(fa, fb, args.ratio)
-        cutoff = args.max_dist if args.max_dist is not None else default_max_dist(matches)
-        matches = distance_filter(matches, cutoff)
-        corrs = to_correspondences(fa, fb, matches)
-    h, mask = ransac_homography(corrs, _ransac_params(args))
+        config = ProtocolConfig(ransac=_ransac_params(args), ratio=args.ratio,
+                                max_dist=args.max_dist)
+        h, corrs, mask = _pairwise_homography(fa, fb, config)
     io.write_homography_json(args.out, h)
     inliers = [c for c, keep in zip(corrs, mask) if keep]
     err = symmetric_transfer_error(h, inliers)

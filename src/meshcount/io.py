@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,9 @@ def _finite(cell: str, line: int, column: int) -> float:
     return value
 
 
-def _matrix(rows, width: int, first_line: int, rule=None) -> np.ndarray:
-    """The CSV body ``rows`` as a (len(rows), width) matrix of finite floats.
+def _matrix(rows, width: int, lines, rule=None) -> np.ndarray:
+    """The CSV body ``rows``, which start on file ``lines``, as a
+    (len(rows), width) matrix of finite floats.
 
     ``rule`` is None or (columns, accepts, what): the cells of ``columns`` must
     also pass ``accepts``, the elementwise test of the object built from them. The
@@ -92,7 +94,7 @@ def _matrix(rows, width: int, first_line: int, rule=None) -> np.ndarray:
     if values is not None and np.isfinite(values).all():
         if not checked or accepts(values[:, columns]).all():
             return values
-    for line, row in enumerate(rows, start=first_line):
+    for line, row in zip(lines, rows):
         if len(row) != width:
             msg = f"expected {width} cells, got {len(row)}"
             raise ParseError(msg, line=line, column=len(row) + 1)
@@ -104,20 +106,29 @@ def _matrix(rows, width: int, first_line: int, rule=None) -> np.ndarray:
 
 
 def _read_rows(path):
+    """(records, lines): the CSV records and the file line each starts on, which
+    is past the record count once a quoted cell has spanned lines."""
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        start = 1
         try:
-            return list(reader)
+            for row in reader:
+                rows.append(row)
+                lines.append(start)
+                start = reader.line_num + 1
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from exc
+    return rows, lines
 
 
 def _csv_body(path, kind: str, usage: str, accepts):
-    """(header, body rows) of a CSV whose header ``accepts``; else ParseError."""
-    rows = _read_rows(path)
+    """(header, body rows, their lines) of a CSV whose header ``accepts``; else
+    ParseError."""
+    rows, lines = _read_rows(path)
     if not rows or not accepts(rows[0]):
         raise ParseError(f"{kind} file must start with header {usage}", line=1, column=1)
-    return rows[0], rows[1:]
+    return rows[0], rows[1:], lines[1:]
 
 
 def _json_check(ok: bool, message: str):
@@ -161,10 +172,10 @@ def write_features_csv(path, features):
 
 
 def read_features_csv(path):
-    header, body = _csv_body(
+    header, body, lines = _csv_body(
         path, "feature", "x,y,d0,...", lambda h: h[:2] == ["x", "y"] and len(h) > 2
     )
-    values = _matrix(body, len(header), 2)
+    values = _matrix(body, len(header), lines)
     return [Feature(Point2(x, y), d) for (x, y), d in zip(values[:, :2].tolist(), values[:, 2:])]
 
 
@@ -175,8 +186,8 @@ def write_correspondences_csv(path, corrs):
 
 def read_correspondences_csv(path):
     header = ["src_x", "src_y", "dst_x", "dst_y"]
-    _, body = _csv_body(path, "correspondence", ",".join(header), lambda h: h == header)
-    values = _matrix(body, 4, 2).tolist()
+    _, body, lines = _csv_body(path, "correspondence", ",".join(header), lambda h: h == header)
+    values = _matrix(body, 4, lines).tolist()
     return [Correspondence(Point2(sx, sy), Point2(dx, dy)) for sx, sy, dx, dy in values]
 
 
@@ -216,11 +227,11 @@ def write_density_csv(path, density: DensityMap):
 
 def read_density_csv(path) -> DensityMap:
     """Headerless: one raster row per line, every cell a non-negative number."""
-    rows = _read_rows(path)
+    rows, lines = _read_rows(path)
     if not rows or not rows[0]:
         raise ParseError("empty density table", line=1, column=1)
     rule = (slice(None), lambda v: v >= 0.0, "a non-negative density")
-    return DensityMap(_matrix(rows, len(rows[0]), 1, rule))
+    return DensityMap(_matrix(rows, len(rows[0]), lines, rule))
 
 
 # -- dot annotations --------------------------------------------------------------
@@ -236,11 +247,12 @@ def write_dots_csv(path, points, sigmas=None):
 
 
 def read_dots_csv(path):
-    """Returns (points, sigmas-or-None)."""
-    header, body = _csv_body(
+    """Returns (points, sigmas-or-None); a sigma cell must be positive."""
+    header, body, lines = _csv_body(
         path, "dot", "x,y[,sigma]", lambda h: h in (["x", "y"], ["x", "y", "sigma"])
     )
-    values = _matrix(body, len(header), 2)
+    rule = (slice(2, 3), lambda v: v > 0.0, "a positive sigma")
+    values = _matrix(body, len(header), lines, rule)
     points = [Point2(x, y) for x, y in values[:, :2].tolist()]
     return points, (values[:, 2].tolist() if len(header) == 3 else None)
 
@@ -280,7 +292,7 @@ def write_detections_csv(path, rows):
 
 def read_detections_csv(path):
     """Returns a list of dicts with image_id, class_id, score, agreement, geom."""
-    header, body = _csv_body(
+    header, body, lines = _csv_body(
         path,
         "detection",
         "image_id,class_id[,score][,agreement],geom",
@@ -293,13 +305,13 @@ def read_detections_csv(path):
     score_at = header.index("score") if "score" in header else None
     agreement_at = header.index("agreement") if "agreement" in header else None
     out = []
-    for ln, row in enumerate(body, start=2):
+    for ln, row in zip(lines, body):
         if len(row) < geom_at + 2:
             raise ParseError("row has no geometry cells", line=ln, column=len(row) + 1)
-        cells = [c for c in row[geom_at:] if c != ""]
+        cells = [(col, c) for col, c in enumerate(row[geom_at:], start=geom_at + 1) if c != ""]
         if len(cells) % 2 != 0:
             raise ParseError("geometry needs an even number of cells", line=ln, column=geom_at + 1)
-        vals = [_finite(c, ln, geom_at + i + 1) for i, c in enumerate(cells)]
+        vals = [_finite(c, ln, col) for col, c in cells]
         if len(vals) in (0, 4):
             msg = "geometry must be x,y or at least three vertices"
             raise ParseError(msg, line=ln, column=geom_at + 1)
@@ -309,6 +321,9 @@ def read_detections_csv(path):
             raise ParseError(f"invalid polygon: {exc}", line=ln, column=geom_at + 1) from exc
         class_id = _parse_int(row[1], ln, 2)
         score = _finite(row[score_at], ln, score_at + 1) if score_at is not None else 1.0
+        if not 0.0 <= score <= 1.0:
+            msg = f"expected a score in [0, 1], got {row[score_at]!r}"
+            raise ParseError(msg, line=ln, column=score_at + 1)
         agreement = None
         if agreement_at is not None and row[agreement_at] != "":
             agreement = _parse_int(row[agreement_at], ln, agreement_at + 1)
@@ -491,11 +506,11 @@ def write_samples_csv(path, samples):
 
 
 def read_samples_csv(path):
-    header, body = _csv_body(
+    header, body, lines = _csv_body(
         path, "sample", "agreement,f0,...", lambda h: h[:1] == ["agreement"] and len(h) > 1
     )
     rule = (slice(0, 1), lambda v: (v >= 0.0) & (v == np.floor(v)), "a non-negative integer")
-    values = _matrix(body, len(header), 2, rule)
+    values = _matrix(body, len(header), lines, rule)
     return [AgreementSample(f, int(a)) for a, f in zip(values[:, 0].tolist(), values[:, 1:])]
 
 
@@ -508,11 +523,12 @@ def write_loss_trace_csv(path, trace):
 
 def read_skeleton_csv(path):
     """Returns (boxes, measured_heights-or-None) from h_s,w_s,z[,h_m]."""
-    header, body = _csv_body(
+    header, body, lines = _csv_body(
         path, "skeleton", "h_s,w_s,z[,h_m]",
         lambda h: h in (["h_s", "w_s", "z"], ["h_s", "w_s", "z", "h_m"]),
     )
-    values = _matrix(body, len(header), 2, (slice(0, 3), lambda v: v > 0.0, "a positive number"))
+    rule = (slice(0, 3), lambda v: v > 0.0, "a positive number")
+    values = _matrix(body, len(header), lines, rule)
     boxes = [SkeletonBox(h_s, w_s, z) for h_s, w_s, z in values[:, :3].tolist()]
     return boxes, (values[:, 3].tolist() if len(header) == 4 else None)
 
@@ -530,8 +546,8 @@ def write_sanitized_csv(path, boxes, sanitized):
 
 
 def read_positions_csv(path):
-    _, body = _csv_body(path, "position", "x,y", lambda h: h == ["x", "y"])
-    return [Point2(x, y) for x, y in _matrix(body, 2, 2).tolist()]
+    _, body, lines = _csv_body(path, "position", "x,y", lambda h: h == ["x", "y"])
+    return [Point2(x, y) for x, y in _matrix(body, 2, lines).tolist()]
 
 
 def write_positions_csv(path, points):
@@ -556,26 +572,8 @@ def write_report(base_path, report: Report):
     ``base_path`` may carry a .csv suffix or none; the JSON twin sits next
     to it with a .json suffix.
     """
-    doc = {
-        "frames": report.frames,
-        "summary": report.summary,
-        "config": report.config,
-        "diagnostics": [
-            {
-                "frame_id": d["frame_id"],
-                "etas": {str(k): v for k, v in d["etas"].items()},
-                "pairs": [
-                    {"pair": list(p["pair"])}
-                    | {k: p[k] for k in ("mu_ij", "mu_ji", "aggregated", "skipped_projections")}
-                    for p in d["pairs"]
-                ],
-                "triple_overlap_candidates": d["triple_overlap_candidates"],
-            }
-            for d in report.diagnostics
-        ],
-    }
     rows = [[row[key] for key in Report.ROW_FIELDS] for row in report.frames]
-    return _write_csv_and_json(base_path, Report.ROW_FIELDS, rows, doc)
+    return _write_csv_and_json(base_path, Report.ROW_FIELDS, rows, asdict(report))
 
 
 def write_table(base_path, header, rows):

@@ -11,7 +11,7 @@ masking are included as baselines.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,12 +97,9 @@ class Scenario:
         return next(n for n in self.nodes if n.node_id == node_id)
 
     def neighbor_pairs(self):
-        """Unordered overlapping pairs (i, j) with i < j, sorted."""
-        pairs = set()
-        for n in self.nodes:
-            for j in n.neighbors:
-                pairs.add((min(n.node_id, j), max(n.node_id, j)))
-        return sorted(pairs)
+        """Unordered overlapping pairs (i, j) with i < j, sorted; neighbor lists
+        are symmetric, so each pair is named once from its smaller id."""
+        return sorted((n.node_id, j) for n in self.nodes for j in n.neighbors if n.node_id < j)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,9 @@ class NodeState:
 # -- protocol operations -------------------------------------------------------
 
 
-def _pairwise_homography(features_src, features_dst, config: ProtocolConfig) -> Homography:
+def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
+    """Ratio test, distance filter (default: twice the median match distance),
+    RANSAC; returns (H, correspondences, inlier mask) or raises NoConsensus."""
     matches = ratio_match(features_src, features_dst, config.ratio)
     if len(matches) >= 1:
         cutoff = config.max_dist if config.max_dist is not None else default_max_dist(matches)
@@ -147,8 +146,8 @@ def _pairwise_homography(features_src, features_dst, config: ProtocolConfig) -> 
     if len(matches) < 4:
         raise NoConsensus(f"only {len(matches)} filtered matches")
     corrs = to_correspondences(features_src, features_dst, matches)
-    h, _ = ransac_homography(corrs, config.ransac)
-    return h
+    h, mask = ransac_homography(corrs, config.ransac)
+    return h, corrs, mask
 
 
 def init_phase(scenario: Scenario, config: ProtocolConfig):
@@ -289,7 +288,7 @@ class Simulator:
                 self._queue.append(Message(FEATURE_SHARE, node.node_id, j, node.features))
         elif msg.kind == FEATURE_SHARE:
             try:
-                h = _pairwise_homography(msg.payload, node.features, self.config)
+                h, _, _ = _pairwise_homography(msg.payload, node.features, self.config)
             except NoConsensus as exc:
                 raise CalibrationFailed(node.node_id, msg.src, str(exc)) from exc
             state.homographies[msg.src] = h
@@ -336,7 +335,8 @@ class Simulator:
         return self.homographies
 
     def run_frame(self, frame_id):
-        """One compute round; returns the per-frame fusion result."""
+        """One compute round; returns the frame's report row and diagnostics
+        entry, both in their final JSON-ready form."""
         if not self._initialized:
             raise RuntimeError("initialize() must run before compute rounds")
         self._etas = {}
@@ -345,63 +345,56 @@ class Simulator:
             self._queue.append(Message(COMPUTE_SIGNAL, SINK, node.node_id, frame_id))
         self._drain()
 
-        etas = [self._etas[n.node_id] for n in self.scenario.nodes]
-        pair_stats = []
-        aggregated = []
+        pairs = []
         for i, j in self.scenario.neighbor_pairs():
-            mu_ji = self._mus[(j, i)].mu  # masks of j judged on plane i
-            mu_ij = self._mus[(i, j)].mu
-            agg = aggregate(mu_ij, mu_ji, self.config.aggregation)
-            aggregated.append(agg)
-            pair_stats.append(
+            ij, ji = self._mus[(i, j)], self._mus[(j, i)]  # ji: masks of j judged on plane i
+            pairs.append(
                 {
                     "pair": (i, j),
-                    "mu_ij": mu_ij,
-                    "mu_ji": mu_ji,
-                    "aggregated": agg,
-                    "skipped_projections": self._mus[(j, i)].skipped_projections
-                    + self._mus[(i, j)].skipped_projections,
+                    "mu_ij": ij.mu,
+                    "mu_ji": ji.mu,
+                    "aggregated": aggregate(ij.mu, ji.mu, self.config.aggregation),
+                    "skipped_projections": ji.skipped_projections + ij.skipped_projections,
                 }
             )
-        ours = global_count(etas, aggregated)
-        return FrameResult(
-            frame_id=frame_id,
-            etas=dict(self._etas),
-            naive=naive_count(etas),
-            masking=masking_count(self.scenario, self.homographies, frame_id),
-            ours_raw=ours,
-            ours_rounded=round(ours),  # banker's rounding
-            pair_stats=pair_stats,
-            triple_overlap_candidates=self._triple_overlap_candidates(frame_id),
-        )
+        etas = [self._etas[n.node_id] for n in self.scenario.nodes]
+        naive = naive_count(etas)
+        masking = masking_count(self.scenario, self.homographies, frame_id)
+        ours = global_count(etas, [p["aggregated"] for p in pairs])
+        truth = self.scenario.ground_truth
+        gt = None if truth is None else truth.global_counts.get(frame_id)
+        row = {
+            "frame_id": frame_id,
+            "naive": naive,
+            "masking": masking,
+            "ours_raw": ours,
+            "ours_rounded": round(ours),  # banker's rounding
+            "gt": gt,
+            "err_n": None if gt is None else naive - gt,
+            "err_m": None if gt is None else masking - gt,
+            "err_o": None if gt is None else ours - gt,
+        }
+        diagnostics = {
+            "frame_id": frame_id,
+            # string keys, so the JSON twin sorts them as text (sort_keys)
+            "etas": {str(node_id): eta for node_id, eta in self._etas.items()},
+            "pairs": pairs,
+            "triple_overlap_candidates": self._triple_overlap_candidates(frame_id),
+        }
+        return row, diagnostics
 
     def _triple_overlap_candidates(self, frame_id) -> int | None:
         """Identity-labeled vehicles seen by three or more nodes, where the
         pairwise subtraction of the fusion formula over-subtracts. None when
         detections carry no identity labels."""
         seen = {}
-        any_labels = False
         for node in self.scenario.nodes:
             for det in node.frames.get(frame_id, []):
-                if det.vehicle_id is None:
-                    continue
-                any_labels = True
-                seen.setdefault(det.vehicle_id, set()).add(node.node_id)
-        if not any_labels:
+                if det.vehicle_id is not None:
+                    seen.setdefault(det.vehicle_id, set()).add(node.node_id)
+        if not seen:
             return None
         return sum(1 for nodes in seen.values() if len(nodes) >= 3)
-
-
-@dataclass
-class FrameResult:
-    frame_id: object
-    etas: dict
-    naive: int
-    masking: int
-    ours_raw: float
-    ours_rounded: int
-    pair_stats: list
-    triple_overlap_candidates: int | None
 
 
 @dataclass
@@ -435,16 +428,12 @@ def _summarize(rows) -> dict:
         if not errs:
             summary[method] = None
             continue
-        gts = [r["gt"] for r in with_gt]
+        relative = [abs(e) / r["gt"] * 100.0 for e, r in zip(errs, with_gt) if r["gt"] > 0]
         summary[method] = {
             "error": float(np.mean(errs)),
             "absolute_error": float(np.mean(np.abs(errs))),
             "squared_error": float(np.mean(np.square(errs))),
-            "relative_error_pct": float(
-                np.mean([abs(e) / g * 100.0 for e, g in zip(errs, gts) if g > 0])
-            )
-            if any(g > 0 for g in gts)
-            else None,
+            "relative_error_pct": float(np.mean(relative)) if relative else None,
         }
     return summary
 
@@ -458,47 +447,11 @@ def run_scenario(scenario: Scenario, config: ProtocolConfig | None = None) -> Re
     config = config or ProtocolConfig()
     sim = Simulator(scenario, config)
     sim.initialize()
-    rows = []
-    diagnostics = []
-    for frame_id in scenario.frames:
-        result = sim.run_frame(frame_id)
-        gt = None
-        if scenario.ground_truth is not None:
-            gt = scenario.ground_truth.global_counts.get(frame_id)
-        row = {
-            "frame_id": frame_id,
-            "naive": result.naive,
-            "masking": result.masking,
-            "ours_raw": result.ours_raw,
-            "ours_rounded": result.ours_rounded,
-            "gt": gt,
-            "err_n": None if gt is None else result.naive - gt,
-            "err_m": None if gt is None else result.masking - gt,
-            "err_o": None if gt is None else result.ours_raw - gt,
-        }
-        rows.append(row)
-        diagnostics.append(
-            {
-                "frame_id": frame_id,
-                "etas": result.etas,
-                "pairs": result.pair_stats,
-                "triple_overlap_candidates": result.triple_overlap_candidates,
-            }
-        )
+    results = [sim.run_frame(frame_id) for frame_id in scenario.frames]
+    rows = [row for row, _ in results]
     return Report(
         frames=rows,
         summary=_summarize(rows),
-        config={
-            "tau": config.tau,
-            "aggregation": config.aggregation,
-            "ratio": config.ratio,
-            "max_dist": config.max_dist,
-            "ransac": {
-                "max_iterations": config.ransac.max_iterations,
-                "inlier_threshold": config.ransac.inlier_threshold,
-                "confidence": config.ransac.confidence,
-                "seed": config.ransac.seed,
-            },
-        },
-        diagnostics=diagnostics,
+        config=asdict(config),
+        diagnostics=[diagnostics for _, diagnostics in results],
     )

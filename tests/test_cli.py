@@ -8,6 +8,7 @@ from meshcount import io
 from meshcount.cli import main
 from meshcount.geometry import Homography, Point2, Polygon
 from meshcount.matching import Feature
+from meshcount.protocol import ProtocolConfig, init_phase
 from meshcount.rescoring import AgreementSample
 
 
@@ -50,6 +51,30 @@ class TestCalibrate:
         bad.write_text("nope\n")
         rc = main(["calibrate", "--correspondences", str(bad), "--out", str(tmp_path / "h.json")])
         assert rc == 1
+
+    def test_no_matches_is_no_consensus(self, tmp_path, capsys):
+        # every A-feature is equally near both B-features, so the ratio test keeps none
+        (tmp_path / "a.csv").write_text("x,y,d0,d1\n1.0,2.0,0.0,0.0\n5.0,6.0,0.0,0.0\n")
+        (tmp_path / "b.csv").write_text("x,y,d0,d1\n1.0,2.0,1.0,0.0\n5.0,6.0,-1.0,0.0\n")
+        rc = main(["calibrate", "--features-a", str(tmp_path / "a.csv"),
+                   "--features-b", str(tmp_path / "b.csv"), "--out", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "only 0 filtered matches" in err
+        assert not (tmp_path / "h.json").exists()
+
+    def test_features_give_the_simulator_calibration(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "3", "--vehicles", "12", "--warp", "projective",
+                     "--seed", "6", "--out", str(scene)]) == 0
+        truth = init_phase(io.read_scenario_json(scene), ProtocolConfig(ratio=0.7))
+        for src, dst in [(0, 1), (2, 1)]:
+            out = tmp_path / f"h{src}{dst}.json"
+            rc = main(["calibrate", "--features-a", str(tmp_path / f"scene_features_{src}.csv"),
+                       "--features-b", str(tmp_path / f"scene_features_{dst}.csv"),
+                       "--ratio", "0.7", "--out", str(out)])
+            assert rc == 0
+            assert np.array_equal(io.read_homography_json(out).matrix, truth[(src, dst)].matrix)
 
 
 class TestMalformedCalibrationInputs:
@@ -490,6 +515,46 @@ class TestMalformedNumericCells:
         positions.write_text("x,y\n1.0,2.0\n3.0,nan\n")
         self.run(capsys, ["distance-check", "--positions", str(positions),
                           "--out", str(tmp_path / "v.csv")], "line 3, column 2")
+
+    @pytest.mark.parametrize("sigma", ["0.0", "-1.5"])
+    @pytest.mark.parametrize("fixed", [[], ["--sigma", "2.0"]], ids=["column", "fixed"])
+    def test_dots_sigma_not_positive(self, tmp_path, capsys, sigma, fixed):
+        # the reader refuses the cell even when --sigma leaves the column unused
+        dots = tmp_path / "dots.csv"
+        dots.write_text(f"x,y,sigma\n4.0,5.0,1.5\n8.0,9.0,{sigma}\n")
+        self.run(capsys, ["density", "--dots", str(dots), "--width", "16", "--height", "16",
+                          *fixed, "--out", str(tmp_path / "d.dmf")], "line 3, column 3")
+
+    @pytest.mark.parametrize("score", ["1.5", "-0.25"])
+    def test_detection_score_outside_unit_interval(self, tmp_path, capsys, score):
+        (tmp_path / "p.csv").write_text(f"image_id,class_id,score,geom\nimg,0,{score},1.0,2.0\n")
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"), "--gt",
+                          str(tmp_path / "g.csv"), "--mode", "point",
+                          "--out", str(tmp_path / "m.csv")], "line 2, column 3")
+
+    def test_geometry_column_after_an_empty_cell(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0,,x,3.0\n")
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"), "--gt",
+                          str(tmp_path / "g.csv"), "--mode", "point",
+                          "--out", str(tmp_path / "m.csv")], "line 2, column 6")
+
+    def test_line_after_a_quoted_cell_spanning_lines(self, tmp_path, capsys):
+        # the image id of line 2 runs on to line 3; the bad cell is on line 4
+        (tmp_path / "p.csv").write_text(
+            'image_id,class_id,geom\n"img\nA",0,1.0,2.0\nimg,0,nan,2.0\n'
+        )
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"), "--gt",
+                          str(tmp_path / "g.csv"), "--mode", "point",
+                          "--out", str(tmp_path / "m.csv")], "line 4, column 3")
+
+    def test_matrix_line_after_a_quoted_cell_spanning_lines(self, tmp_path, capsys):
+        positions = tmp_path / "pos.csv"
+        positions.write_text('x,y\n"1.0\n",2.0\n3.0,nan\n')
+        self.run(capsys, ["distance-check", "--positions", str(positions),
+                          "--out", str(tmp_path / "v.csv")], "line 4, column 2")
 
     def test_nan_detection_point(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("image_id,class_id,score,geom\nimg,0,0.5,nan,2.0\n")

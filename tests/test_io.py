@@ -286,6 +286,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("with_sigma", [False, True])
     def test_dots(self, tmp_path, with_sigma):
         v = tricky_floats(4, 30).reshape(10, 3)
+        v[:, 2] = np.abs(v[:, 2])  # a sigma must be positive; no cell of this column is 0
         points = [Point2(x, y) for x, y in v[:, :2].tolist()]
         sigmas = v[:, 2].tolist() if with_sigma else None
         back_points, back_sigmas = self.round_trip(
