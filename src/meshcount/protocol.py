@@ -97,9 +97,9 @@ class Scenario:
         return next(n for n in self.nodes if n.node_id == node_id)
 
     def neighbor_pairs(self):
-        """Unordered overlapping pairs (i, j) with i < j, sorted; neighbor lists
-        are symmetric, so each pair is named once from its smaller id."""
-        return sorted((n.node_id, j) for n in self.nodes for j in n.neighbors if n.node_id < j)
+        """Unordered overlapping pairs (i, j) with i < j, sorted, each once even
+        when a neighbor list repeats an id."""
+        return sorted({(n.node_id, j) for n in self.nodes for j in n.neighbors if n.node_id < j})
 
 
 @dataclass(frozen=True)

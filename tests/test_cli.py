@@ -526,12 +526,16 @@ class TestMalformedNumericCells:
                           *fixed, "--out", str(tmp_path / "d.dmf")], "line 3, column 3")
 
     @pytest.mark.parametrize("score", ["1.5", "-0.25"])
-    def test_detection_score_outside_unit_interval(self, tmp_path, capsys, score):
+    @pytest.mark.parametrize(
+        "command", [["eval-detect", "--mode", "point"], ["eval-count"]], ids=["detect", "count"]
+    )
+    def test_detection_score_outside_unit_interval(self, tmp_path, capsys, score, command):
+        # eval-count reads the same files and refuses them too, though it only thresholds scores
         (tmp_path / "p.csv").write_text(f"image_id,class_id,score,geom\nimg,0,{score},1.0,2.0\n")
         (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
-        self.run(capsys, ["eval-detect", "--pred", str(tmp_path / "p.csv"), "--gt",
-                          str(tmp_path / "g.csv"), "--mode", "point",
-                          "--out", str(tmp_path / "m.csv")], "line 2, column 3")
+        self.run(capsys, [*command, "--pred", str(tmp_path / "p.csv"), "--gt",
+                          str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")],
+                 "line 2, column 3")
 
     def test_geometry_column_after_an_empty_cell(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0,,x,3.0\n")

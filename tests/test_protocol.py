@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,21 @@ class TestRunScenario:
         report_b = run_scenario(s_b, ProtocolConfig())
         assert report_a.frames[0]["ours_raw"] == report_b.frames[0]["ours_raw"]
         assert report_a.frames[0]["naive"] == report_b.frames[0]["naive"]
+
+    def test_repeated_neighbor_id_counts_the_pair_once(self):
+        det0 = [box_detection(210 + 22 * i, 20, 230 + 22 * i, 32, vid=i) for i in range(4)]
+        det1 = [box_detection(10 + 22 * i, 20, 30 + 22 * i, 32, vid=i) for i in range(4)]
+        plain = two_node_scenario(det0, det1, gt=4)
+        n0, n1 = plain.nodes
+        repeated = Scenario(
+            nodes=[replace(n0, neighbors=(1, 1)), n1],
+            frames=plain.frames,
+            ground_truth=plain.ground_truth,
+        )
+        report = run_scenario(repeated, ProtocolConfig())
+        assert [p["pair"] for p in report.diagnostics[0]["pairs"]] == [(0, 1)]
+        assert report.frames[0]["ours_raw"] == pytest.approx(4.0)
+        assert report.frames == run_scenario(plain, ProtocolConfig()).frames
 
     def test_summary_mirrors_rows(self):
         spec = SyntheticSceneSpec(n_cameras=2, n_vehicles=10, overlap=0.5, n_frames=3, seed=7)

@@ -10,12 +10,18 @@ final form. The JSON twin that ``simulate`` writes must equal its bytes.
 import json
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from meshcount import io
 from meshcount.cli import main
+from meshcount.geometry import Point2, Polygon
+from meshcount.matching import Feature
 from meshcount.protocol import (
+    Detection,
+    NodeSpec,
     ProtocolConfig,
+    Scenario,
     _summarize,
     aggregate,
     compute_mu_outcome,
@@ -179,3 +185,39 @@ class TestReportOracle:
         assert all(row["gt"] is None and row["err_o"] is None for row in report["frames"])
         assert report["summary"] == {"naive": None, "masking": None, "ours": None}
         assert twin == ref_report_doc(io.read_scenario_json(scene), ProtocolConfig(aggregation=agg))
+
+    def test_projections_that_cross_the_vanishing_line(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        io.write_scenario_json(scene, vanishing_line_scenario())
+        twin = simulate_twin(tmp_path, scene, "mean")
+        (pair,) = json.loads(twin)["diagnostics"][0]["pairs"]
+        # one mask of node 1 and two of node 0 straddle the other plane's vanishing line
+        assert pair == {"pair": [0, 1], "mu_ij": 1, "mu_ji": 1, "aggregated": 1.0,
+                        "skipped_projections": 3}
+        assert twin == ref_report_doc(io.read_scenario_json(scene), ProtocolConfig())
+
+
+def vanishing_line_scenario():
+    """Two 400 x 100 cameras related by a projective map whose vanishing line
+    crosses both images: x = 200 on plane 1 and x = 100 on plane 0."""
+    h_10 = np.array([[-0.5, 0.0, 300.0], [0.0, 1.0, 0.0], [-1.0 / 200.0, 0.0, 1.0]])
+    rng = np.random.default_rng(5)
+    feats = {0: [], 1: []}
+    for x in (10.0, 60.0, 110.0, 150.0, 250.0, 300.0, 350.0, 390.0):
+        for y in (10.0, 50.0, 90.0):
+            u, v, w = h_10 @ (x, y, 1.0)
+            desc = rng.normal(0, 1, 16)
+            feats[1].append(Feature(Point2(x, y), desc + rng.normal(0, 0.03, 16)))
+            feats[0].append(Feature(Point2(u / w, v / w), desc + rng.normal(0, 0.03, 16)))
+
+    def boxes(*corners):
+        return [Detection(Polygon.box(*c)) for c in corners]
+
+    # (20, 20, 40, 40) on plane 1 lands near (322, 22, 350, 48) on plane 0
+    frames0 = {"f0": boxes((90, 20, 110, 40), (95, 50, 105, 70), (322, 22, 350, 48))}
+    frames1 = {"f0": boxes((190, 20, 210, 40), (20, 20, 40, 40))}
+    nodes = [
+        NodeSpec(0, (1,), 400, 100, feats[0], frames0),
+        NodeSpec(1, (0,), 400, 100, feats[1], frames1),
+    ]
+    return Scenario(nodes=nodes, frames=["f0"])
