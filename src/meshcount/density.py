@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfBounds, ShapeMismatch, SigmaZero, TooFewDots
 from .geometry import Point2, Polygon
@@ -178,38 +179,35 @@ def count(density: DensityMap, roi: Polygon | None = None) -> float:
     return float(density.values[inside].sum())
 
 
-def local_peaks(density: DensityMap, n: int, min_distance: int, min_value: float = 0.0):
-    """Top-n strict local maxima, value-sorted and greedily suppressed.
+def _window_max(a: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Max over every run of ``size`` consecutive entries along ``axis``."""
+    # reduce over a leading window axis so numpy's inner loop runs along memory
+    return np.moveaxis(sliding_window_view(a, size, axis=axis), -1, 0).max(axis=0)
 
-    A peak must exceed every other cell in its (2 min_distance + 1)^2
-    neighborhood and reach ``min_value``; ties sort by (row, col); accepted
-    peaks suppress later candidates within ``min_distance`` (Euclidean).
+
+def local_peaks(density: DensityMap, n: int, min_distance: int, min_value: float = 0.0):
+    """Top-n strict local maxima, ordered by value, then row, then column.
+
+    A peak reaches ``min_value`` and exceeds every other cell in its
+    (2 min_distance + 1)^2 window, cells off the map counting as -inf. Two
+    peaks are thus more than ``min_distance`` apart: each would lie in the
+    other's window.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if min_distance < 1:
         raise ValueError("min_distance must be a positive pixel count")
-    v = density.values
-    d = int(min_distance)
+    v, d = density.values, int(min_distance)
+    h, w = v.shape
     padded = np.pad(v, d, mode="constant", constant_values=-np.inf)
-    cand_rows, cand_cols = np.nonzero(v >= min_value)
-    order = sorted(
-        range(cand_rows.size),
-        key=lambda i: (-v[cand_rows[i], cand_cols[i]], cand_rows[i], cand_cols[i]),
-    )
-    peaks = []
-    for i in order:
-        if len(peaks) == n:
-            break
-        r, c = int(cand_rows[i]), int(cand_cols[i])
-        window = padded[r : r + 2 * d + 1, c : c + 2 * d + 1]
-        val = v[r, c]
-        if not (val == window.max() and (window == val).sum() == 1):
-            continue  # not a strict neighborhood maximum
-        if any((r - pr) ** 2 + (c - pc) ** 2 <= d * d for pr, pc in peaks):
-            continue
-        peaks.append((r, c))
-    return [Point2(float(c), float(r)) for r, c in peaks]
+    # the window less its centre: d full-width rows above and below, d cells either side
+    bands = _window_max(_window_max(padded, 2 * d + 1, axis=1), d, axis=0)
+    sides = _window_max(padded[d : d + h], d, axis=1)
+    others = np.maximum(np.maximum(bands[:h], bands[d + 1 :]),
+                        np.maximum(sides[:, :w], sides[:, d + 1 :]))
+    rows, cols = np.nonzero((v >= min_value) & (v > others))
+    order = np.argsort(-v[rows, cols], kind="stable")[:n]  # row-major ties: by (row, col)
+    return [Point2(float(c), float(r)) for r, c in zip(rows[order].tolist(), cols[order].tolist())]
 
 
 def density_loss(pred: DensityMap, gt: DensityMap) -> float:

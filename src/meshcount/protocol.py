@@ -137,12 +137,19 @@ class NodeState:
 
 
 def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
-    """Ratio test, distance filter (default: twice the median match distance),
-    RANSAC; returns (H, correspondences, inlier mask) or raises NoConsensus."""
+    """Ratio test, distance filter (default: below twice the median match
+    distance, or exactly 0 when that median is 0), RANSAC; returns
+    (H, correspondences, inlier mask) or raises NoConsensus."""
+    if not (features_src and features_dst):
+        raise NoConsensus("no features on one side")
     matches = ratio_match(features_src, features_dst, config.ratio)
-    if len(matches) >= 1:
-        cutoff = config.max_dist if config.max_dist is not None else default_max_dist(matches)
-        matches = distance_filter(matches, cutoff)
+    if matches:
+        if config.max_dist is not None:
+            matches = distance_filter(matches, config.max_dist)
+        elif (cutoff := default_max_dist(matches)) > 0:
+            matches = distance_filter(matches, cutoff)
+        else:  # a zero median: at least half the matches are exact, keep those
+            matches = [m for m in matches if m.dist == 0]
     if len(matches) < 4:
         raise NoConsensus(f"only {len(matches)} filtered matches")
     corrs = to_correspondences(features_src, features_dst, matches)

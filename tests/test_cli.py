@@ -63,6 +63,32 @@ class TestCalibrate:
         assert "only 0 filtered matches" in err
         assert not (tmp_path / "h.json").exists()
 
+    def test_feature_file_against_itself_is_the_identity(self, tmp_path, capsys):
+        # every kept match has distance 0, so the default cutoff (twice the median) is 0
+        assert main(["gen-scene", "--cameras", "2", "--seed", "1", "--frames", "1",
+                     "--out", str(tmp_path / "scene.json")]) == 0
+        feats = str(tmp_path / "scene_features_0.csv")
+        out = tmp_path / "h.json"
+        rc = main(["calibrate", "--features-a", feats, "--features-b", feats, "--out", str(out)])
+        assert rc == 0
+        assert np.allclose(io.read_homography_json(out).matrix, np.eye(3), rtol=0, atol=1e-9)
+        capsys.readouterr()
+        rc = main(["calibrate", "--features-a", feats, "--features-b", feats,
+                   "--max-dist", "0", "--out", str(tmp_path / "h0.json")])
+        assert rc == 1
+        assert "max_dist must be > 0" in capsys.readouterr().err
+
+    def test_empty_feature_file_is_no_consensus(self, tmp_path, capsys):
+        fa, _ = make_feature_files(tmp_path, np.random.default_rng(0))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y,d0,d1\n")
+        for pair in ([fa, empty], [empty, fa]):
+            rc = main(["calibrate", "--features-a", str(pair[0]), "--features-b", str(pair[1]),
+                       "--out", str(tmp_path / "h.json")])
+            assert rc == 2
+            assert "no features on one side" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
     def test_features_give_the_simulator_calibration(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"
         assert main(["gen-scene", "--cameras", "3", "--vehicles", "12", "--warp", "projective",
@@ -159,6 +185,19 @@ class TestScenePipeline:
         assert main(["gen-scene", *args, "--out", str(d2 / "scene.json")]) == 0
         assert (d1 / "scene.json").read_bytes() == (d2 / "scene.json").read_bytes()
         assert (d1 / "scene_features_0.csv").read_bytes() == (d2 / "scene_features_0.csv").read_bytes()
+
+    def test_node_without_features_fails_its_pair(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "2", "--seed", "1", "--frames", "1",
+                     "--out", str(scene)]) == 0
+        feats = tmp_path / "scene_features_1.csv"
+        feats.write_text(feats.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "calibration failed for pair (1, 0): no features on one side" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_infeasible_overlap_exits_two(self, tmp_path):
         rc = main(["gen-scene", "--cameras", "4", "--overlap", "0.8",

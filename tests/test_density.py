@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshcount.density import (
     DensityMap,
@@ -33,6 +34,45 @@ def truncated_kernel_mass_oracle(x, y, sigma, h, w):
             cells.append(g)
             total += g
     return sum(c / total for c in cells)
+
+
+def ref_local_peaks(density, n, min_distance, min_value=0.0):
+    """Reference oracle: every cell at or above ``min_value`` sorted by
+    (-value, row, col), then tested one at a time for a strict window
+    maximum, with greedy suppression of accepted peaks within
+    ``min_distance`` (Euclidean)."""
+    v = density.values
+    d = int(min_distance)
+    padded = np.pad(v, d, mode="constant", constant_values=-np.inf)
+    cand_rows, cand_cols = np.nonzero(v >= min_value)
+    order = sorted(
+        range(cand_rows.size),
+        key=lambda i: (-v[cand_rows[i], cand_cols[i]], cand_rows[i], cand_cols[i]),
+    )
+    peaks = []
+    for i in order:
+        if len(peaks) == n:
+            break
+        r, c = int(cand_rows[i]), int(cand_cols[i])
+        window = padded[r : r + 2 * d + 1, c : c + 2 * d + 1]
+        val = v[r, c]
+        if not (val == window.max() and (window == val).sum() == 1):
+            continue  # not a strict neighborhood maximum
+        if any((r - pr) ** 2 + (c - pc) ** 2 <= d * d for pr, pc in peaks):
+            continue
+        peaks.append((r, c))
+    return [Point2(float(c), float(r)) for r, c in peaks]
+
+
+@st.composite
+def tied_maps(draw):
+    """Small maps of small non-negative integers, so that ties and plateaus
+    are common, plus one planted high cell."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.integers(0, draw(st.integers(1, 4)), (h, w)).astype(float)
+    v[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(st.sampled_from([3.0, 12.0]))
+    return DensityMap(v)
 
 
 class TestDotsToDensity:
@@ -136,6 +176,10 @@ class TestLocalPeaks:
     def test_flat_zero_map(self):
         assert local_peaks(DensityMap.zeros(16, 16), n=5, min_distance=2, min_value=0.1) == []
 
+    def test_cells_off_the_map_are_below_zero(self):
+        # a lone zero cell still beats its window, which lies wholly off the map
+        assert local_peaks(DensityMap.zeros(1, 1), n=5, min_distance=3) == [Point2(0.0, 0.0)]
+
     def test_equal_peaks_tie_break(self):
         v = np.zeros((20, 20))
         v[12, 7] = 1.0
@@ -157,6 +201,31 @@ class TestLocalPeaks:
         for x, y in pts:
             assert any(abs(p.x - x) <= 1 and abs(p.y - y) <= 1 for p in peaks)
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tied_maps(),
+        st.integers(1, 50),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+    )
+    def test_matches_reference_loop_property(self, density, n, min_distance, min_value):
+        got = local_peaks(density, n, min_distance, min_value)
+        assert got == ref_local_peaks(density, n, min_distance, min_value)
+        assert all(type(p.x) is float and type(p.y) is float for p in got)
+        for i, p in enumerate(got):
+            for q in got[:i]:
+                assert (p.x - q.x) ** 2 + (p.y - q.y) ** 2 > min_distance**2
+
+    def test_matches_reference_loop_on_knn_maps(self):
+        rng = np.random.default_rng(9)
+        kernel = KernelSpec(mode="knn-adaptive", k=3, beta=0.3)
+        for n_dots in (40, 90, 150):
+            pts = [(float(x), float(y)) for x, y in rng.uniform(0, 256, (n_dots, 2))]
+            m = dots_to_density(DotAnnotation(pts), (256, 256), kernel)
+            got = local_peaks(m, n=10, min_distance=3, min_value=0.0)
+            assert len(got) == 10
+            assert got == ref_local_peaks(m, n=10, min_distance=3, min_value=0.0)
 
 class TestLosses:
     def test_density_loss_identical(self):
