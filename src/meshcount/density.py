@@ -181,7 +181,7 @@ def count(density: DensityMap, roi: Polygon | None = None) -> float:
 
 def _window_max(a: np.ndarray, size: int, axis: int) -> np.ndarray:
     """Max over every run of ``size`` consecutive entries along ``axis``."""
-    # reduce over a leading window axis so numpy's inner loop runs along memory
+    # a leading window axis lets numpy reduce whole contiguous rows, not each short window
     return np.moveaxis(sliding_window_view(a, size, axis=axis), -1, 0).max(axis=0)
 
 

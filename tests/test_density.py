@@ -201,7 +201,6 @@ class TestLocalPeaks:
         for x, y in pts:
             assert any(abs(p.x - x) <= 1 and abs(p.y - y) <= 1 for p in peaks)
 
-
     @settings(max_examples=200, deadline=None)
     @given(
         tied_maps(),
