@@ -106,7 +106,6 @@ from .protocol import (
     Scenario,
     Simulator,
     aggregate,
-    compute_mu,
     compute_mu_outcome,
     global_count,
     init_phase,

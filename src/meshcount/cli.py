@@ -435,6 +435,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # refuse a missing output directory before any work, naming the path given
+    for path in (args.out, getattr(args, "csv_out", None), getattr(args, "trace", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            print(f"meshcount {args.command}: cannot write {path}: "
+                  f"no directory {os.path.dirname(path)}", file=sys.stderr)
+            return 1
     started = time.perf_counter()
     try:
         rc = _COMMANDS[args.command](args)

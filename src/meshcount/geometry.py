@@ -34,9 +34,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -109,24 +106,29 @@ class Polygon:
     verifies simplicity and flips clockwise input.
     """
 
-    __slots__ = ("_v", "_bounds")
+    __slots__ = ("_v", "_bounds", "_area")
 
     def __init__(self, vertices):
-        v = np.array([[p.x, p.y] if isinstance(p, Point2) else p for p in vertices], dtype=float)
+        if isinstance(vertices, np.ndarray):
+            v = np.array(vertices, dtype=float, order="C")
+        else:
+            v = np.array([[p.x, p.y] if isinstance(p, Point2) else p for p in vertices], dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 (x, y) vertices")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("polygon vertices must be finite")
         area2 = _signed_area2(v)
         if area2 == 0.0:
             raise ValueError("polygon has zero area")
         if area2 < 0.0:
             v = v[::-1].copy()
+            area2 = _signed_area2(v)  # not -area2: the flipped sums round differently
         if not _is_simple(v):
             raise ValueError("polygon is self-intersecting")
         v.setflags(write=False)
         self._v = v
         self._bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
+        self._area = 0.5 * area2
 
     @classmethod
     def box(cls, x0: float, y0: float, x1: float, y1: float) -> "Polygon":
@@ -141,13 +143,13 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        return 0.5 * _signed_area2(self._v)
+        return self._area
 
     @property
     def centroid(self) -> Point2:
         v = self._v
         x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        xn, yn = _next(v).T
         cross = x * yn - xn * y
         a2 = cross.sum()
         cx = float(((x + xn) * cross).sum() / (3.0 * a2))
@@ -166,37 +168,35 @@ class Polygon:
         return f"Polygon({self._v.tolist()})"
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Contiguous copy of ``a`` shifted so row k holds a[k + 1], cyclically."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _signed_area2(v: np.ndarray) -> float:
+    # x and y stay strided views: np.dot rounds by the memory layout it is given
     x, y = v[:, 0], v[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    d1 = _cross2(q2 - q1, p1 - q1)
-    d2 = _cross2(q2 - q1, p2 - q1)
-    d3 = _cross2(p2 - p1, q1 - p1)
-    d4 = _cross2(p2 - p1, q2 - p1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        # rounding gives collinear segments arbitrary cross-product signs;
-        # segments whose bounding boxes are disjoint cannot cross
-        return (min(p1[0], p2[0]) <= max(q1[0], q2[0]) and min(q1[0], q2[0]) <= max(p1[0], p2[0])
-                and min(p1[1], p2[1]) <= max(q1[1], q2[1]) and min(q1[1], q2[1]) <= max(p1[1], p2[1]))
-    return False
+    return float(np.dot(x, _next(y)) - np.dot(_next(x), y))
 
 
 def _is_simple(v: np.ndarray) -> bool:
-    n = v.shape[0]
-    for i in range(n):
-        a1, a2 = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex
-            b1, b2 = v[j], v[(j + 1) % n]
-            if _segments_properly_intersect(a1, a2, b1, b2):
+    """No two non-adjacent edges properly cross."""
+    pts = v.tolist()
+    n = len(pts)
+    edges = [(*pts[k], *pts[(k + 1) % n]) for k in range(n)]
+    for i in range(n - 2):
+        px1, py1, px2, py2 = edges[i]
+        for j in range(i + 2, n - 1 if i == 0 else n):  # edges 0 and n - 1 share a vertex
+            qx1, qy1, qx2, qy2 = edges[j]
+            d1 = (qx2 - qx1) * (py1 - qy1) - (qy2 - qy1) * (px1 - qx1)
+            d2 = (qx2 - qx1) * (py2 - qy1) - (qy2 - qy1) * (px2 - qx1)
+            d3 = (px2 - px1) * (qy1 - py1) - (py2 - py1) * (qx1 - px1)
+            d4 = (px2 - px1) * (qy2 - py1) - (py2 - py1) * (qx2 - px1)
+            # rounding gives collinear segments arbitrary cross-product signs;
+            # segments whose bounding boxes are disjoint cannot cross
+            if (((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+                    and min(px1, px2) <= max(qx1, qx2) and min(qx1, qx2) <= max(px1, px2)
+                    and min(py1, py2) <= max(qy1, qy2) and min(qy1, qy2) <= max(py1, py2)):
                 return False
     return True
 
@@ -339,7 +339,7 @@ def _project_array(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
     ones = np.ones((pts.shape[0], 1))
     hom = np.hstack([pts, ones]) @ matrix.T
     w = hom[:, 2]
-    if np.any(np.abs(w) <= _W_EPS):
+    if (np.abs(w) <= _W_EPS).any():
         raise PointAtInfinity("projection has a vanishing homogeneous coordinate")
     return hom[:, :2] / w[:, None]
 

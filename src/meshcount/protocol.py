@@ -192,10 +192,13 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
     Each mask from j is projected onto plane i; when its centroid lands
     inside the image and some mask of i overlaps it with IoU above tau, it
     was already counted by i. Degenerate projections are skipped and tallied.
+    Only masks of i whose bounding box overlaps the projection's on both
+    axes reach the exact IoU; any other pair has IoU 0, which tau > 0 never
+    passes.
     """
     width, height = image_shape
-    mu = 0
     skipped = 0
+    candidates = []
     for det in masks_j:
         try:
             projected = project_polygon(h_ji, det.polygon)
@@ -203,15 +206,19 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
             skipped += 1
             continue
         c = projected.centroid
-        if not (0.0 <= c.x < width and 0.0 <= c.y < height):
-            continue
-        if any(iou(projected, mine.polygon) > tau for mine in masks_i):
-            mu += 1
+        if 0.0 <= c.x < width and 0.0 <= c.y < height:
+            candidates.append(projected)
+    mine = [m.polygon for m in masks_i]
+    a = np.array([p.bounds() for p in candidates]).reshape(-1, 1, 4)
+    b = np.array([p.bounds() for p in mine]).reshape(1, -1, 4)
+    # iou's own early-out, for every (candidate, mask of i) pair at once
+    near = ((np.minimum(a[..., 2], b[..., 2]) > np.maximum(a[..., 0], b[..., 0]))
+            & (np.minimum(a[..., 3], b[..., 3]) > np.maximum(a[..., 1], b[..., 1])))
+    mu = sum(
+        any(iou(projected, mine[k]) > tau for k in np.flatnonzero(row).tolist())
+        for projected, row in zip(candidates, near)
+    )
     return MuOutcome(mu=mu, skipped_projections=skipped)
-
-
-def compute_mu(masks_i, masks_j, h_ji: Homography, tau: float, image_shape) -> int:
-    return compute_mu_outcome(masks_i, masks_j, h_ji, tau, image_shape).mu
 
 
 def aggregate(mu_ij: float, mu_ji: float, mode: str = "mean") -> float:

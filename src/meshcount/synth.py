@@ -94,14 +94,16 @@ def _camera_warp(spec: SyntheticSceneSpec, cam: int, x0: float, rng) -> np.ndarr
 
 
 def _world_to_image(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    hom = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ m.T
+    hom = np.ones((pts.shape[0], 3))
+    hom[:, :2] = pts
+    hom = hom @ m.T
     return hom[:, :2] / hom[:, 2:3]
 
 
 def _visible(m: np.ndarray, center: np.ndarray, shape) -> tuple[bool, bool]:
     """(clearly inside, borderline) for one world point in one camera."""
     w, h = shape
-    x, y = _world_to_image(m, center[None, :])[0]
+    x, y = _world_to_image(m, center[None, :])[0].tolist()
     inside = (
         _PLACEMENT_MARGIN <= x < w - _PLACEMENT_MARGIN
         and _PLACEMENT_MARGIN <= y < h - _PLACEMENT_MARGIN
@@ -235,24 +237,24 @@ def _detectable_views(placed, warps, origins, image_height, image_shape):
     cam_pos = [
         np.array([x0 - _CAMERA_SETBACK, image_height / 2.0]) for x0 in origins
     ]
+    offsets = [centers - pos for pos in cam_pos]  # every vehicle relative to each camera
     for vid in range(len(placed)):
         views = []
         for cam in range(len(warps)):
             inside, _ = _visible(warps[cam], centers[vid], image_shape)
             if not inside:
                 continue
-            ray = centers[vid] - cam_pos[cam]
+            rel = offsets[cam]
+            ray = rel[vid]
             dv = float(np.hypot(*ray))
+            # distance off the sight line first; only blockers near it need the along-ray test
+            perp = np.abs(rel[:, 0] * ray[1] - rel[:, 1] * ray[0]) / dv
             occluded = False
-            for uid in range(len(placed)):
+            for uid in np.flatnonzero(perp < _OCCLUSION_HALF_WIDTH).tolist():
                 if uid == vid:
                     continue
-                rel = centers[uid] - cam_pos[cam]
-                du = float(rel @ ray) / dv  # distance along the sight line
-                if not (0.0 < du < dv and dv - du < _OCCLUSION_REACH):
-                    continue
-                perp = abs(float(rel[0] * ray[1] - rel[1] * ray[0])) / dv
-                if perp < _OCCLUSION_HALF_WIDTH:
+                du = float(rel[uid] @ ray) / dv  # distance along the sight line
+                if 0.0 < du < dv and dv - du < _OCCLUSION_REACH:
                     occluded = True
                     break
             if not occluded:
@@ -265,6 +267,7 @@ def _place_vehicles(spec: SyntheticSceneSpec, world_w: float, h: float, warps, r
     """Rejection-sample vehicle rectangles: visible somewhere, never
     borderline in any camera, and mutually separated."""
     placed = []
+    centers = np.empty((spec.n_vehicles, 2))  # centers[:len(placed)] are in use
     attempts = 0
     budget = 20_000 + 4_000 * spec.n_vehicles
     while len(placed) < spec.n_vehicles:
@@ -284,12 +287,11 @@ def _place_vehicles(spec: SyntheticSceneSpec, world_w: float, h: float, warps, r
             borderline = borderline or border
         if not inside_somewhere or borderline:
             continue
-        if any(
-            np.hypot(center[0] - c[0], center[1] - c[1]) < _MIN_SEPARATION
-            for c, _ in placed
-        ):
+        others = centers[:len(placed)]
+        if (np.hypot(center[0] - others[:, 0], center[1] - others[:, 1]) < _MIN_SEPARATION).any():
             continue
         dx, dy = length / 2.0, width / 2.0
         corners = center + np.array([[-dx, -dy], [dx, -dy], [dx, dy], [-dx, dy]])
+        centers[len(placed)] = center
         placed.append((center, corners))
     return placed

@@ -672,6 +672,39 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "missing.json" in err and "Traceback" not in err
 
+    def test_simulate_into_a_missing_directory_fails_before_running(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--vehicles", "4", "--out", str(scene)]) == 0
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr("meshcount.cli.run_scenario", lambda *a: pytest.fail("ran"))
+        out = tmp_path / "nodir" / "r.csv"
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_gen_scene_into_a_missing_directory_names_the_path_given(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setattr("meshcount.cli.generate_scene", lambda *a: pytest.fail("ran"))
+        out = tmp_path / "nodir" / "s.json"
+        rc = main(["gen-scene", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "features" not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_density_csv_out_into_a_missing_directory_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "dots.csv").write_text("x,y\n3,4\n")
+        csv_out = tmp_path / "nodir" / "d.csv"
+        rc = main(["density", "--dots", str(tmp_path / "dots.csv"), "--width", "8",
+                   "--height", "8", "--sigma", "1", "--out", str(tmp_path / "d.dmf"),
+                   "--csv-out", str(csv_out)])
+        assert rc == 1
+        assert str(csv_out) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dots.csv"]
+
     def test_every_command_is_registered(self):
         from meshcount.cli import _COMMANDS
 

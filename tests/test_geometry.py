@@ -696,6 +696,142 @@ class TestDistanceViolations:
         assert len(flat) == len(set(flat))
 
 
+# -- reference oracle: the polygon kernel with np.roll and the pairwise segment test --
+
+
+def ref_signed_area2(v):
+    x, y = v[:, 0], v[:, 1]
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def ref_centroid(v):
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a2 = cross.sum()
+    return Point2(float(((x + xn) * cross).sum() / (3.0 * a2)),
+                  float(((y + yn) * cross).sum() / (3.0 * a2)))
+
+
+def _ref_cross2(a, b):
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def _ref_segments_properly_intersect(p1, p2, q1, q2):
+    d1 = _ref_cross2(q2 - q1, p1 - q1)
+    d2 = _ref_cross2(q2 - q1, p2 - q1)
+    d3 = _ref_cross2(p2 - p1, q1 - p1)
+    d4 = _ref_cross2(p2 - p1, q2 - p1)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return (min(p1[0], p2[0]) <= max(q1[0], q2[0]) and min(q1[0], q2[0]) <= max(p1[0], p2[0])
+                and min(p1[1], p2[1]) <= max(q1[1], q2[1]) and min(q1[1], q2[1]) <= max(p1[1], p2[1]))
+    return False
+
+
+def ref_is_simple(v):
+    n = v.shape[0]
+    for i in range(n):
+        a1, a2 = v[i], v[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            b1, b2 = v[j], v[(j + 1) % n]
+            if _ref_segments_properly_intersect(a1, a2, b1, b2):
+                return False
+    return True
+
+
+def ref_polygon(vertices):
+    """(vertex bytes, bounds, area, centroid) as the constructor built them
+    before the roll-free rewrite; raises the same ValueError."""
+    v = np.array([[p.x, p.y] if isinstance(p, Point2) else p for p in vertices], dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        raise ValueError("polygon needs at least 3 (x, y) vertices")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("polygon vertices must be finite")
+    area2 = ref_signed_area2(v)
+    if area2 == 0.0:
+        raise ValueError("polygon has zero area")
+    if area2 < 0.0:
+        v = v[::-1].copy()
+    if not ref_is_simple(v):
+        raise ValueError("polygon is self-intersecting")
+    bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
+    c = ref_centroid(v)
+    return v.tobytes(), bounds, 0.5 * ref_signed_area2(v), (c.x, c.y)
+
+
+def polygon_facts(vertices):
+    poly = Polygon(vertices)
+    c = poly.centroid
+    return poly.vertices.tobytes(), poly.bounds(), poly.area, (c.x, c.y)
+
+
+def either(fn, vertices):
+    # a sliver can pass the area test yet have a centroid of 0 / 0, which
+    # Point2 refuses; both sides must refuse it alike
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return fn(vertices)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def vertex_arrays(draw):
+    """Random points; star shapes in either orientation; small integer grids,
+    full of collinear and touching edges, as drawn or rotated (rounding then
+    gives collinear edges cross products of either sign); rotated
+    rectangles far from the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(("points", "star", "grid", "rotated grid", "far")))
+    if kind == "points":
+        v = rng.uniform(-50.0, 50.0, (n, 2))
+    elif kind == "star":
+        t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        r = rng.uniform(1.0, 40.0, n)
+        v = np.column_stack([r * np.cos(t), r * np.sin(t)]) + rng.uniform(-20.0, 20.0, 2)
+        v = v[::-1] if draw(st.booleans()) else v
+    elif kind == "grid":
+        v = rng.integers(0, 4, (n, 2)).astype(float)
+    elif kind == "rotated grid":
+        v = _rotated(rng.integers(0, 4, (n, 2)), rng.uniform(0.0, 2.0 * math.pi), (0.0, 0.0))
+    else:
+        w, h = rng.uniform(1.0, 40.0, 2)
+        box = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
+        v = _rotated(box, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1e6, 1e6, 2))
+    form = draw(st.sampled_from(("array", "fortran", "tuples", "points")))
+    if form == "fortran":
+        return np.asfortranarray(v)
+    if form == "tuples":
+        return [tuple(p) for p in v.tolist()]
+    if form == "points":
+        return [Point2(x, y) for x, y in v.tolist()]
+    return v
+
+
+class TestPolygonMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(vertex_arrays())
+    def test_same_error_or_same_bits_property(self, vertices):
+        assert either(polygon_facts, vertices) == either(ref_polygon, vertices)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 1), (1, 0), (0, 1)],  # bow-tie
+        [(0, 0), (2, 0), (4, 0)],  # collinear
+        [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)],  # a vertex touching an edge
+        # a U whose collinear arm tops get cross products of crossing signs
+        _rotated([(0, 0), (10, 0), (10, 10), (7, 10), (7, 3), (3, 3), (3, 10), (0, 10)],
+                 14 * 0.0314, (0.0, 0.0)),
+        [(0, 0), (1, 0)],
+        [(0, 0), (1, 0), (0, float("inf"))],
+        np.zeros((4, 3)),
+    ])
+    def test_same_error_or_same_bits_on_edge_cases(self, vertices):
+        assert either(polygon_facts, vertices) == either(ref_polygon, vertices)
+
+
 class TestTypes:
     def test_point_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meshcount.errors import CalibrationFailed, InfeasibleOverlap
+from meshcount import synth
+from meshcount.errors import CalibrationFailed, InfeasibleOverlap, PointAtInfinity
 from meshcount.geometry import (
     Correspondence,
     Homography,
     Point2,
     Polygon,
+    iou,
     project_polygon,
     symmetric_transfer_error,
 )
@@ -17,13 +21,13 @@ from meshcount.protocol import (
     Detection,
     GroundTruth,
     Message,
+    MuOutcome,
     NodeSpec,
     NodeState,
     ProtocolConfig,
     Scenario,
     Simulator,
     aggregate,
-    compute_mu,
     compute_mu_outcome,
     global_count,
     init_phase,
@@ -46,13 +50,13 @@ def translation(dx, dy=0.0):
 class TestComputeMu:
     def test_identity_identical_sets(self):
         masks = [box_detection(10 * i, 0, 10 * i + 8, 6) for i in range(4)]
-        mu = compute_mu(masks, masks, Homography.identity(), 0.2, (100, 50))
+        mu = compute_mu_outcome(masks, masks, Homography.identity(), 0.2, (100, 50)).mu
         assert mu == 4
 
     def test_disjoint_fields_of_view(self):
         masks_i = [box_detection(5, 5, 15, 12)]
         masks_j = [box_detection(500, 5, 510, 12)]  # projects far outside
-        mu = compute_mu(masks_i, masks_j, Homography.identity(), 0.2, (100, 50))
+        mu = compute_mu_outcome(masks_i, masks_j, Homography.identity(), 0.2, (100, 50)).mu
         assert mu == 0
 
     def test_shared_plus_exclusive_under_known_warp(self):
@@ -78,7 +82,95 @@ class TestComputeMu:
     def test_exclusive_masks_projecting_inside_do_not_count(self):
         masks_i = [box_detection(10, 10, 30, 20, vid=0)]
         masks_j = [box_detection(60, 40, 80, 50, vid=1)]  # inside, but disjoint
-        assert compute_mu(masks_i, masks_j, Homography.identity(), 0.2, (100, 60)) == 0
+        assert compute_mu_outcome(masks_i, masks_j, Homography.identity(), 0.2, (100, 60)).mu == 0
+
+
+# -- reference oracle: the all-pairs duplicate search -------------------------------
+
+
+def ref_compute_mu_outcome(masks_i, masks_j, h_ji, tau, image_shape):
+    """compute_mu_outcome as it was before bounding boxes pruned the IoU pairs."""
+    width, height = image_shape
+    mu = 0
+    skipped = 0
+    for det in masks_j:
+        try:
+            projected = project_polygon(h_ji, det.polygon)
+        except (PointAtInfinity, ValueError):
+            skipped += 1
+            continue
+        c = projected.centroid
+        if not (0.0 <= c.x < width and 0.0 <= c.y < height):
+            continue
+        if any(iou(projected, mine.polygon) > tau for mine in masks_i):
+            mu += 1
+    return MuOutcome(mu=mu, skipped_projections=skipped)
+
+
+def random_rectangle(rng):
+    """A rotated rectangle somewhere on a 120 x 100 plane."""
+    w, h = rng.uniform(4.0, 30.0, 2) / 2.0
+    a = rng.uniform(0.0, math.pi)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    corners = np.array([[-w, -h], [w, -h], [w, h], [-w, h]])
+    return Polygon(corners @ rot.T + rng.uniform((0.0, 0.0), (120.0, 100.0)))
+
+
+def mu_case(seed, projective, n_i, n_j, n_dup):
+    """Masks of i, masks of j and H_ji. The first ``n_dup`` masks of i also
+    appear in j, mapped back through H and shifted a little, so some pairs
+    are duplicates. Projective H have vanishing lines that can cross the
+    masks, so some projections fail."""
+    rng = np.random.default_rng(seed)
+    m = np.eye(3)
+    m[:2, :2] += rng.uniform(-0.3, 0.3, (2, 2))
+    m[:2, 2] = rng.uniform(-40.0, 40.0, 2)
+    if projective:
+        m[2, :2] = rng.uniform(-0.02, 0.02, 2)
+    h = Homography(m)
+    masks_i = [Detection(random_rectangle(rng)) for _ in range(n_i)]
+    masks_j = [Detection(random_rectangle(rng)) for _ in range(n_j)]
+    for det in masks_i[:n_dup]:
+        try:
+            back = project_polygon(h.inverse(), det.polygon)
+        except (PointAtInfinity, ValueError):
+            continue
+        masks_j.insert(int(rng.integers(len(masks_j) + 1)),
+                       Detection(Polygon(back.vertices + rng.normal(0.0, 2.0, 2))))
+    return masks_i, masks_j, h
+
+
+class TestPrunedDuplicateSearch:
+    TAUS = (0.05, 0.2, 0.5, 0.9)
+
+    def test_matches_all_pairs_on_seeded_cases(self):
+        mu = skipped = 0
+        for seed in range(120):
+            masks_i, masks_j, h = mu_case(seed, seed % 2 == 1, 6, 6, 4)
+            tau = self.TAUS[seed % 4]
+            out = compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
+            assert out == ref_compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
+            mu += out.mu
+            skipped += out.skipped_projections
+        # the cases reach duplicates and failed projections alike
+        assert mu > 0 and skipped > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 8), st.integers(0, 8),
+           st.integers(0, 8), st.sampled_from(TAUS))
+    def test_matches_all_pairs_property(self, seed, projective, n_i, n_j, n_dup, tau):
+        masks_i, masks_j, h = mu_case(seed, projective, n_i, n_j, n_dup)
+        out = compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
+        assert out == ref_compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
+
+    def test_vertex_on_the_vanishing_line_is_skipped(self):
+        # w = 1 - x / 64 is exactly 0 at x = 64
+        h = Homography([[1, 0, 0], [0, 1, 0], [-1 / 64, 0, 1]])
+        masks_i = [box_detection(10, 10, 30, 20)]
+        masks_j = [box_detection(50, 10, 64, 20), box_detection(10, 10, 30, 20)]
+        out = compute_mu_outcome(masks_i, masks_j, h, 0.2, (100, 60))
+        assert out == ref_compute_mu_outcome(masks_i, masks_j, h, 0.2, (100, 60))
+        assert out.skipped_projections == 1
 
 
 class TestAggregate:
@@ -374,7 +466,98 @@ class TestScenarioValidation:
             NodeSpec(0, (0,), 32, 32, [], {})
 
 
+# -- reference oracles: the generator's per-vehicle loops ------------------------------
+
+
+def ref_detectable_views(placed, warps, origins, image_height, image_shape):
+    """synth._detectable_views with the scalar test over every blocker."""
+    owners = []
+    centers = np.array([c for c, _ in placed]) if placed else np.zeros((0, 2))
+    cam_pos = [np.array([x0 - synth._CAMERA_SETBACK, image_height / 2.0]) for x0 in origins]
+    for vid in range(len(placed)):
+        views = []
+        for cam in range(len(warps)):
+            inside, _ = synth._visible(warps[cam], centers[vid], image_shape)
+            if not inside:
+                continue
+            ray = centers[vid] - cam_pos[cam]
+            dv = float(np.hypot(*ray))
+            occluded = False
+            for uid in range(len(placed)):
+                if uid == vid:
+                    continue
+                rel = centers[uid] - cam_pos[cam]
+                du = float(rel @ ray) / dv
+                if not (0.0 < du < dv and dv - du < synth._OCCLUSION_REACH):
+                    continue
+                perp = abs(float(rel[0] * ray[1] - rel[1] * ray[0])) / dv
+                if perp < synth._OCCLUSION_HALF_WIDTH:
+                    occluded = True
+                    break
+            if not occluded:
+                views.append(cam)
+        owners.append(views)
+    return owners
+
+
+def ref_place_vehicles(spec, world_w, h, warps, rng):
+    """synth._place_vehicles with the separation tested one placed center at a time."""
+    placed = []
+    attempts = 0
+    budget = 20_000 + 4_000 * spec.n_vehicles
+    while len(placed) < spec.n_vehicles:
+        attempts += 1
+        if attempts > budget:
+            raise InfeasibleOverlap("could not place the vehicles")
+        center = np.array([rng.uniform(0, world_w), rng.uniform(0, h)])
+        length = rng.uniform(24, 32)
+        width = rng.uniform(12, 16)
+        inside_somewhere = False
+        borderline = False
+        for m in warps:
+            inside, border = synth._visible(m, center, spec.image_shape)
+            inside_somewhere = inside_somewhere or inside
+            borderline = borderline or border
+        if not inside_somewhere or borderline:
+            continue
+        if any(np.hypot(center[0] - c[0], center[1] - c[1]) < synth._MIN_SEPARATION
+               for c, _ in placed):
+            continue
+        dx, dy = length / 2.0, width / 2.0
+        corners = center + np.array([[-dx, -dy], [dx, -dy], [dx, dy], [-dx, dy]])
+        placed.append((center, corners))
+    return placed
+
+
+def scene_facts(scenario):
+    """Every generated value of a scenario, floats as their bytes."""
+    nodes = [
+        (
+            [(f.keypoint.x, f.keypoint.y, f.descriptor.tobytes()) for f in n.features],
+            {fid: [(d.polygon.vertices.tobytes(), d.score, d.vehicle_id) for d in dets]
+             for fid, dets in n.frames.items()},
+        )
+        for n in scenario.nodes
+    ]
+    truth = scenario.ground_truth
+    homs = {k: h.matrix.tobytes() for k, h in truth.homographies.items()}
+    return nodes, truth.global_counts, homs
+
+
 class TestSynthGenerator:
+    @pytest.mark.parametrize("spec", [
+        SyntheticSceneSpec(n_cameras=3, n_vehicles=60, overlap=0.5, drop_rate=0.05,
+                           jitter_px=2.0, spurious_rate=0.05, n_frames=2, seed=3),
+        SyntheticSceneSpec(n_cameras=2, n_vehicles=16, overlap=0.5, warp="projective", seed=6),
+        SyntheticSceneSpec(n_cameras=4, n_vehicles=20, overlap=0.3, warp="affine",
+                           jitter_px=1.0, spurious_rate=0.1, n_frames=2, seed=11),
+    ])
+    def test_matches_the_per_vehicle_loops(self, spec, monkeypatch):
+        scene = generate_scene(spec)
+        monkeypatch.setattr(synth, "_detectable_views", ref_detectable_views)
+        monkeypatch.setattr(synth, "_place_vehicles", ref_place_vehicles)
+        assert scene_facts(scene) == scene_facts(generate_scene(spec))
+
     def test_noise_free_truth_matches_detectable_vehicles(self):
         # truth counts vehicles detectable somewhere; occlusion can hide a few
         spec = SyntheticSceneSpec(n_cameras=3, n_vehicles=15, overlap=0.3, n_frames=2, seed=2)
