@@ -108,7 +108,6 @@ from .protocol import (
     aggregate,
     compute_mu_outcome,
     global_count,
-    init_phase,
     local_count,
     masking_count,
     naive_count,

@@ -106,7 +106,7 @@ class Polygon:
     verifies simplicity and flips clockwise input.
     """
 
-    __slots__ = ("_v", "_bounds", "_area")
+    __slots__ = ("_v", "_bounds", "_area", "_centroid")
 
     def __init__(self, vertices):
         if isinstance(vertices, np.ndarray):
@@ -125,10 +125,18 @@ class Polygon:
             area2 = _signed_area2(v)  # not -area2: the flipped sums round differently
         if not _is_simple(v):
             raise ValueError("polygon is self-intersecting")
+        x, y = v[:, 0], v[:, 1]
+        xn, yn = _next(v).T
+        cross = x * yn - xn * y
+        a2 = cross.sum()  # a sliver's np.dot area can be nonzero by rounding while this is 0
+        if a2 == 0.0:
+            raise ValueError("polygon has zero area")
         v.setflags(write=False)
         self._v = v
         self._bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
         self._area = 0.5 * area2
+        self._centroid = Point2(float(((x + xn) * cross).sum() / (3.0 * a2)),
+                                float(((y + yn) * cross).sum() / (3.0 * a2)))
 
     @classmethod
     def box(cls, x0: float, y0: float, x1: float, y1: float) -> "Polygon":
@@ -147,14 +155,7 @@ class Polygon:
 
     @property
     def centroid(self) -> Point2:
-        v = self._v
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = _next(v).T
-        cross = x * yn - xn * y
-        a2 = cross.sum()
-        cx = float(((x + xn) * cross).sum() / (3.0 * a2))
-        cy = float(((y + yn) * cross).sum() / (3.0 * a2))
-        return Point2(cx, cy)
+        return self._centroid
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(x0, y0, x1, y1) of the axis-aligned bounding box."""
@@ -339,8 +340,8 @@ def _project_array(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
     ones = np.ones((pts.shape[0], 1))
     hom = np.hstack([pts, ones]) @ matrix.T
     w = hom[:, 2]
-    if (np.abs(w) <= _W_EPS).any():
-        raise PointAtInfinity("projection has a vanishing homogeneous coordinate")
+    if not ((w > _W_EPS).all() or (w < -_W_EPS).all()):  # every point on one side of the line
+        raise PointAtInfinity("projection meets the vanishing line")
     return hom[:, :2] / w[:, None]
 
 
@@ -351,7 +352,13 @@ def project_point(h: Homography, p: Point2) -> Point2:
 
 
 def project_polygon(h: Homography, poly: Polygon) -> Polygon:
-    """Project every vertex; orientation is re-normalized to CCW."""
+    """Project every vertex; orientation is re-normalized to CCW.
+
+    Raises PointAtInfinity unless every vertex lies strictly on one side of
+    the vanishing line of ``h`` (every w > 0 or every w < 0): a mask that
+    touches or straddles the line has an image through infinity, which no
+    polygon of the projected vertices bounds.
+    """
     return Polygon(_project_array(h.matrix, poly.vertices))
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import asdict
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +106,23 @@ def _matrix(rows, width: int, lines, rule=None) -> np.ndarray:
     raise AssertionError("the one-pass conversion rejected cells that float() accepts")
 
 
+def _open_text(path, newline=None):
+    """A UTF-8 text stream over the file, once the whole file decodes; else
+    ParseError at the offset of the first bad byte in the file (a stream that
+    decodes in chunks names an offset within its chunk)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", offset=exc.start) from exc
+    return TextIOWrapper(BytesIO(data), encoding="utf-8", newline=newline)
+
+
 def _read_rows(path):
     """(records, lines): the CSV records and the file line each starts on, which
     is past the record count once a quoted cell has spanned lines."""
     rows, lines = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         start = 1
         try:
@@ -156,7 +169,7 @@ def _json_array(value, what: str) -> np.ndarray:
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_open_text(path).read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
 

@@ -16,16 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CalibrationFailed, NoConsensus, PointAtInfinity
-from .geometry import (
-    Homography,
-    Polygon,
-    RansacParams,
-    _project_array,
-    iou,
-    points_in_polygon,
-    project_polygon,
-    ransac_homography,
-)
+from .geometry import Homography, Polygon, RansacParams, iou, project_polygon, ransac_homography
 from .matching import default_max_dist, distance_filter, ratio_match, to_correspondences
 
 SINK = "S"
@@ -157,18 +148,6 @@ def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
     return h, corrs, mask
 
 
-def init_phase(scenario: Scenario, config: ProtocolConfig):
-    """Run the initialization round; returns {(j, i): H mapping plane j to i}.
-
-    The sink signals every node; nodes swap feature sets with each neighbor
-    and estimate both directions independently. Raises CalibrationFailed
-    when a pair cannot reach a four-inlier consensus.
-    """
-    sim = Simulator(scenario, config)
-    sim.initialize()
-    return dict(sim.homographies)
-
-
 def local_count(state: NodeState, detections):
     """Count detections locally and emit the eta report plus mask shares."""
     detections = list(detections)
@@ -191,7 +170,9 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
 
     Each mask from j is projected onto plane i; when its centroid lands
     inside the image and some mask of i overlaps it with IoU above tau, it
-    was already counted by i. Degenerate projections are skipped and tallied.
+    was already counted by i. Masks whose projection fails (one meeting
+    the vanishing line of ``h_ji``, or a degenerate image) are skipped and
+    tallied.
     Only masks of i whose bounding box overlaps the projection's on both
     axes reach the exact IoU; any other pair has IoU 0, which tau > 0 never
     passes.
@@ -245,28 +226,28 @@ def naive_count(etas) -> int:
 def masking_count(scenario: Scenario, homographies, frame_id) -> int:
     """Baseline M: drop detections inside overlaps owned by a smaller id.
 
-    A node discards its own detections whose centroid falls inside the
-    projection of any smaller-id neighbor's image boundary; survivors are
-    summed. A degenerate boundary projection leaves that overlap unmasked.
+    A node discards its own detections whose centroid maps back, through
+    the inverse of H from a smaller-id neighbor, into that neighbor's closed
+    ``width`` x ``height`` image; survivors are summed. This is membership in
+    the neighbor's true image even where that image is unbounded; a centroid
+    that maps back to infinity stays.
     """
     total = 0
     for node in scenario.nodes:
         dets = node.frames.get(frame_id, [])
         if not dets:
             continue
-        centroids = np.array([[c.x, c.y] for c in (d.polygon.centroid for d in dets)])
+        centroids = np.array([[c.x, c.y, 1.0] for c in (d.polygon.centroid for d in dets)])
         masked = np.zeros(len(dets), dtype=bool)
         for j in node.neighbors:
             h_ji = homographies.get((j, node.node_id))
             if j >= node.node_id or h_ji is None:
                 continue
             other = scenario.node(j)
-            corners = Polygon.box(0.0, 0.0, other.width, other.height).vertices
-            try:
-                region = _project_array(h_ji.matrix, corners)
-            except PointAtInfinity:
-                continue
-            masked |= points_in_polygon(centroids, region)
+            x, y, w = (centroids @ np.linalg.inv(h_ji.matrix).T).T
+            with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: not masked
+                x, y = x / w, y / w
+            masked |= (0.0 <= x) & (x <= other.width) & (0.0 <= y) & (y <= other.height)
         total += int((~masked).sum())
     return total
 

@@ -8,7 +8,7 @@ from meshcount import io
 from meshcount.cli import main
 from meshcount.geometry import Homography, Point2, Polygon
 from meshcount.matching import Feature
-from meshcount.protocol import ProtocolConfig, init_phase
+from meshcount.protocol import ProtocolConfig, Simulator
 from meshcount.rescoring import AgreementSample
 
 
@@ -93,7 +93,7 @@ class TestCalibrate:
         scene = tmp_path / "scene.json"
         assert main(["gen-scene", "--cameras", "3", "--vehicles", "12", "--warp", "projective",
                      "--seed", "6", "--out", str(scene)]) == 0
-        truth = init_phase(io.read_scenario_json(scene), ProtocolConfig(ratio=0.7))
+        truth = Simulator(io.read_scenario_json(scene), ProtocolConfig(ratio=0.7)).initialize()
         for src, dst in [(0, 1), (2, 1)]:
             out = tmp_path / f"h{src}{dst}.json"
             rc = main(["calibrate", "--features-a", str(tmp_path / f"scene_features_{src}.csv"),
@@ -246,6 +246,9 @@ class TestMalformedScenario:
                 id="bow-tie",
             ),
             pytest.param({"polygon": [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]}, "zero area", id="collinear"),
+            # np.dot gives this sliver an area of 2.2e-16; its centroid's sum is exactly 0
+            pytest.param({"polygon": [0.4654651523800791, 0.8850662076476481] * 2
+                          + [2.2814616647878854, 2.189733470562865]}, "zero area", id="sliver"),
             pytest.param(
                 {"polygon": GOOD_DETECTION["polygon"], "score": "high"}, "and score", id="bad-score"
             ),
@@ -255,6 +258,7 @@ class TestMalformedScenario:
             ),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_detection(self, tmp_path, capsys, detection, reason):
         frames = [{"frame_id": "f0", "detections": [GOOD_DETECTION, detection]}]
         err = self.run_simulate(tmp_path, capsys, frames)
@@ -527,6 +531,12 @@ class TestMalformedNumericCells:
         assert rc == 1
         assert "Traceback" not in err
         assert where in err
+
+    def test_dots_non_utf8_byte_is_positioned_in_the_file(self, tmp_path, capsys):
+        dots = tmp_path / "dots.csv"
+        dots.write_bytes(b"x,y\n" + b"1.0,2.0\n" * 1500 + b"3.0,\xff\n")
+        self.run(capsys, ["density", "--dots", str(dots), "--width", "16", "--height", "16",
+                          "--out", str(tmp_path / "d.dmf")], "not UTF-8 text at byte offset 12008")
 
     def test_dots_sigma_inf(self, tmp_path, capsys):
         dots = tmp_path / "dots.csv"

@@ -403,6 +403,22 @@ class TestRansac:
         assert np.array_equal(h1.matrix, h2.matrix)
 
 
+def straddle_case(seed):
+    """A projective H whose vanishing line often crosses a rotated rectangle on
+    a 120 x 100 plane, the rectangle, and seeded points well inside it."""
+    rng = np.random.default_rng(seed)
+    m = np.eye(3)
+    m[:2, :2] += rng.uniform(-0.3, 0.3, (2, 2))
+    m[:2, 2] = rng.uniform(-40.0, 40.0, 2)
+    m[2, :2] = rng.uniform(-0.03, 0.03, 2)
+    w, h = rng.uniform(4.0, 60.0, 2)
+    rect = _rotated([(0, 0), (w, 0), (w, h), (0, h)], rng.uniform(0.0, math.pi),
+                    rng.uniform((0.0, 0.0), (120.0, 100.0)))
+    uv = rng.uniform(0.02, 0.98, (16, 2))
+    inner = rect[0] + uv[:, :1] * (rect[1] - rect[0]) + uv[:, 1:] * (rect[3] - rect[0])
+    return Homography(m), Polygon(rect), inner
+
+
 class TestProjection:
     def test_identity(self):
         p = project_point(Homography.identity(), Point2(3, 4))
@@ -463,6 +479,27 @@ class TestProjection:
         poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         out = project_polygon(flip, poly)
         assert out.area > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_accepts_exactly_the_masks_on_one_side_of_the_vanishing_line(self, seed):
+        h, poly, inner = straddle_case(seed)
+        m = h.matrix
+        w = [m[2, 0] * x + m[2, 1] * y + m[2, 2] for x, y in poly.vertices.tolist()]
+        if all(v > 0.0 for v in w) or all(v < 0.0 for v in w):
+            image = project_polygon(h, poly)
+            assert image.contains(apply_oracle(m, inner)).all()
+        else:
+            with pytest.raises(PointAtInfinity):
+                project_polygon(h, poly)
+
+    def test_straddle_cases_cross_the_line_often(self):
+        crossing = 0
+        for seed in range(200):
+            h, poly, _ = straddle_case(seed)
+            w = np.column_stack([poly.vertices, np.ones(4)]) @ h.matrix[2]
+            crossing += bool((w > 0.0).any() and (w < 0.0).any())
+        assert 20 <= crossing <= 180
 
 
 def box_formula_iou(a, b):
@@ -709,6 +746,8 @@ def ref_centroid(v):
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     a2 = cross.sum()
+    if a2 == 0.0:
+        raise ValueError("polygon has zero area")
     return Point2(float(((x + xn) * cross).sum() / (3.0 * a2)),
                   float(((y + yn) * cross).sum() / (3.0 * a2)))
 
@@ -768,11 +807,8 @@ def polygon_facts(vertices):
 
 
 def either(fn, vertices):
-    # a sliver can pass the area test yet have a centroid of 0 / 0, which
-    # Point2 refuses; both sides must refuse it alike
     try:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return fn(vertices)
+        return fn(vertices)
     except ValueError as exc:
         return str(exc)
 
@@ -827,6 +863,9 @@ class TestPolygonMatchesReference:
         [(0, 0), (1, 0)],
         [(0, 0), (1, 0), (0, float("inf"))],
         np.zeros((4, 3)),
+        # np.dot gives this sliver an area of 2.2e-16; its centroid's sum is exactly 0
+        [(0.4654651523800791, 0.8850662076476481), (0.4654651523800791, 0.8850662076476481),
+         (2.2814616647878854, 2.189733470562865)],
     ])
     def test_same_error_or_same_bits_on_edge_cases(self, vertices):
         assert either(polygon_facts, vertices) == either(ref_polygon, vertices)

@@ -141,6 +141,14 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match="0 and 1"):
             io.read_scenario_json(path)
 
+    def test_non_utf8_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "scene.json"
+        head = b'{"frames": ["f0"], "pad": "' + b"x" * 10_000
+        path.write_bytes(head + b'\xff", "nodes": []}')
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            io.read_scenario_json(path)
+        assert err.value.offset == len(head)
+
     def test_invalid_json_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"nodes": [,]}')
@@ -391,6 +399,14 @@ class TestPositionedCsvErrors:
         with pytest.raises(ParseError) as err:
             read(path)
         assert (err.value.line, err.value.column) == (line, column)
+
+    def test_non_utf8_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "dots.csv"
+        head = b"x,y\n" + b"1.0,2.0\n" * 1500  # 12,004 bytes, past the 8 KiB decoder chunk
+        path.write_bytes(head + b"3.0,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text at byte offset 12008") as err:
+            io.read_dots_csv(path)
+        assert err.value.offset == len(head) + 4
 
     def test_oversized_cell_is_a_parse_error(self, tmp_path):
         path = tmp_path / "big.csv"

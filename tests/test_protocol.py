@@ -13,6 +13,7 @@ from meshcount.geometry import (
     Point2,
     Polygon,
     iou,
+    project_point,
     project_polygon,
     symmetric_transfer_error,
 )
@@ -30,7 +31,6 @@ from meshcount.protocol import (
     aggregate,
     compute_mu_outcome,
     global_count,
-    init_phase,
     local_count,
     masking_count,
     naive_count,
@@ -163,6 +163,14 @@ class TestPrunedDuplicateSearch:
         out = compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
         assert out == ref_compute_mu_outcome(masks_i, masks_j, h, tau, (100, 80))
 
+    def test_projected_sliver_is_skipped(self):
+        # a one-ulp edge collapses to a repeated vertex once shifted by 40
+        a = (3.453, 2.166)
+        sliver = Detection(Polygon([a, np.nextafter(a, 10.0), (1.199, 1.691)]))
+        out = compute_mu_outcome([], [sliver, box_detection(10, 10, 30, 20)],
+                                 translation(40.0, 40.0), 0.2, (100, 60))
+        assert out == MuOutcome(mu=0, skipped_projections=1)
+
     def test_vertex_on_the_vanishing_line_is_skipped(self):
         # w = 1 - x / 64 is exactly 0 at x = 64
         h = Homography([[1, 0, 0], [0, 1, 0], [-1 / 64, 0, 1]])
@@ -254,7 +262,7 @@ def two_node_scenario(det0, det1, width=400, height=100, shift=200.0, gt=None):
 class TestInitPhase:
     def test_recovers_translation_within_one_pixel(self):
         scenario = two_node_scenario([], [])
-        homs = init_phase(scenario, ProtocolConfig())
+        homs = Simulator(scenario, ProtocolConfig()).initialize()
         truth = scenario.ground_truth.homographies
         for key in ((1, 0), (0, 1)):
             grid = [
@@ -280,7 +288,7 @@ class TestInitPhase:
     def test_node_without_neighbors(self):
         node = NodeSpec(0, (), 64, 64, [], {"f0": []})
         scenario = Scenario(nodes=[node], frames=["f0"])
-        assert init_phase(scenario, ProtocolConfig()) == {}
+        assert Simulator(scenario, ProtocolConfig()).initialize() == {}
 
     def test_insufficient_matches_fails_calibration(self):
         rng = np.random.default_rng(1)
@@ -293,7 +301,7 @@ class TestInitPhase:
         ]
         scenario = Scenario(nodes=nodes, frames=["f0"])
         with pytest.raises(CalibrationFailed):
-            init_phase(scenario, ProtocolConfig())
+            Simulator(scenario, ProtocolConfig()).initialize()
 
 
 class TestMaskingCount:
@@ -333,14 +341,16 @@ class TestMaskingCount:
         # node 0 owns the overlap; node 1 discards its copy of vehicle 1
         assert masking_count(scenario, homs, "f0") == 3
 
-    def test_boundary_at_infinity_leaves_overlap_unmasked(self):
+    def test_boundary_through_infinity_still_masks_the_overlap(self):
         dets = [box_detection(20 * i + 2, 10, 20 * i + 18, 20, vid=i) for i in range(3)]
         scenario = two_node_scenario(dets, dets, shift=0.0)
         width = scenario.node(0).width
-        # w = 1 - x / width vanishes at node 0's right image corners
+        # w = 1 - x / width vanishes at node 0's right image corners, so node 0's
+        # image on plane 1 is unbounded; node 1's centroids map back to about
+        # (9.76, 14.6), (27.9, 14.0) and (44.4, 13.3), inside node 0's image
         vanishing = Homography([[1, 0, 0], [0, 1, 0], [-1.0 / width, 0, 1]])
         homs = {(0, 1): vanishing, (1, 0): Homography.identity()}
-        assert masking_count(scenario, homs, "f0") == 6
+        assert masking_count(scenario, homs, "f0") == 3
 
     def test_matches_per_detection_oracle(self):
         for seed, warp in enumerate(("translation", "affine", "projective")):
@@ -365,6 +375,56 @@ class TestMaskingCount:
                         c = det.polygon.centroid
                         expected += not any(r.contains(np.array([c.x, c.y])) for r in regions)
                 assert masking_count(scenario, homs, frame_id) == expected
+
+    def test_matches_back_projection_oracle_across_the_vanishing_line(self):
+        straddling = masked = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            scenario = Scenario(
+                nodes=[
+                    NodeSpec(k, tuple(j for j in range(3) if j != k), 120, 100, [],
+                             {"f0": [Detection(random_rectangle(rng)) for _ in range(8)]})
+                    for k in range(3)
+                ],
+                frames=["f0"],
+            )
+            homs = {}
+            for j, i in ((0, 1), (0, 2), (1, 2)):
+                m = np.eye(3)
+                m[:2, :2] += rng.uniform(-0.3, 0.3, (2, 2))
+                m[:2, 2] = rng.uniform(-40.0, 40.0, 2)
+                m[2, :2] = rng.uniform(-0.02, 0.02, 2)  # vanishing lines cross the images
+                homs[(j, i)] = Homography(m)
+                w = np.array([[0, 0, 1], [120, 0, 1], [120, 100, 1], [0, 100, 1]]) @ m[2]
+                straddling += bool((w > 0).any() and (w < 0).any())
+            expected = ref_masking_count(scenario, homs, "f0")
+            assert masking_count(scenario, homs, "f0") == expected
+            masked += 24 - expected
+        # many boundaries cross the line, and many centroids are masked
+        assert straddling > 60 and masked > 300
+
+
+def ref_masking_count(scenario, homographies, frame_id):
+    """Per centroid: map it back onto each smaller-id neighbor's plane and test
+    it against that neighbor's closed image rectangle; a centroid that maps
+    back to infinity stays unmasked."""
+    total = 0
+    for node in scenario.nodes:
+        for det in node.frames.get(frame_id, []):
+            c = det.polygon.centroid
+            inside = False
+            for j in node.neighbors:
+                h = homographies.get((j, node.node_id))
+                if j >= node.node_id or h is None:
+                    continue
+                try:
+                    back = project_point(h.inverse(), c)
+                except PointAtInfinity:
+                    continue
+                other = scenario.node(j)
+                inside |= 0.0 <= back.x <= other.width and 0.0 <= back.y <= other.height
+            total += not inside
+    return total
 
 
 class TestRunScenario:

@@ -22,11 +22,11 @@ from meshcount.protocol import (
     NodeSpec,
     ProtocolConfig,
     Scenario,
+    Simulator,
     _summarize,
     aggregate,
     compute_mu_outcome,
     global_count,
-    init_phase,
     masking_count,
     naive_count,
 )
@@ -85,7 +85,7 @@ def ref_frame_result(scenario, config, homographies, frame_id) -> RefFrameResult
 
 def ref_report_doc(scenario, config) -> bytes:
     """The JSON twin's bytes: record -> row and entry -> JSON document."""
-    homographies = init_phase(scenario, config)
+    homographies = Simulator(scenario, config).initialize()
     rows, diagnostics = [], []
     for frame_id in scenario.frames:
         result = ref_frame_result(scenario, config, homographies, frame_id)
@@ -194,6 +194,9 @@ class TestReportOracle:
         # one mask of node 1 and two of node 0 straddle the other plane's vanishing line
         assert pair == {"pair": [0, 1], "mu_ij": 1, "mu_ji": 1, "aggregated": 1.0,
                         "skipped_projections": 3}
+        # node 1's (20, 20, 40, 40) maps back to about (335, 35), inside node 0's
+        # image, so masking drops it as the copy of node 0's (322, 22, 350, 48)
+        assert json.loads(twin)["frames"][0]["masking"] == 4
         assert twin == ref_report_doc(io.read_scenario_json(scene), ProtocolConfig())
 
 
