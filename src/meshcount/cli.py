@@ -20,6 +20,7 @@ from .annotate import fit_alpha, prune_far, sanitize_box
 from .density import DensityMap, DotAnnotation, KernelSpec, count, dots_to_density, local_peaks
 from .errors import MeshCountError, ParseError, TrainingDiverged
 from .geometry import (
+    Point2,
     RansacParams,
     distance_violations,
     project_point,
@@ -267,10 +268,18 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _delta_map(rows, width, height) -> DensityMap:
+def _delta_map(rows, width, height, source) -> DensityMap:
+    """One unit per point in its pixel; points follow dots_to_density's rule."""
     grid = np.zeros((height, width))
     for r in rows:
-        grid[int(r["geom"].y), int(r["geom"].x)] += 1.0
+        p = r["geom"]
+        if not isinstance(p, Point2):
+            raise ValueError(f"GAME needs point rows; {source} has a polygon "
+                             f"in image {r['image_id']!r}")
+        if not (0.0 <= p.x < width and 0.0 <= p.y < height):
+            raise ValueError(f"{source} point ({p.x}, {p.y}) in image {r['image_id']!r} "
+                             f"lies outside [0, {width}) x [0, {height})")
+        grid[int(p.y), int(p.x)] += 1.0
     return DensityMap(grid)
 
 
@@ -319,8 +328,8 @@ def _cmd_eval_count(args) -> int:
         if not (args.width and args.height):
             print("eval-count: GAME needs --width and --height", file=sys.stderr)
             return 1
-        pred_maps = [_delta_map(kept, args.width, args.height) for kept, _ in groups]
-        gt_maps = [_delta_map(g_rows, args.width, args.height) for _, g_rows in groups]
+        pred_maps = [_delta_map(kept, args.width, args.height, "--pred") for kept, _ in groups]
+        gt_maps = [_delta_map(g_rows, args.width, args.height, "--gt") for _, g_rows in groups]
         rows.append([f"game{args.game}", game(pred_maps, gt_maps, args.game)])
     return _write_metrics(args.out, rows)
 

@@ -21,6 +21,7 @@ from .errors import (
 
 _W_EPS = 1e-12  # homogeneous coordinate below this is "at infinity"
 _BLOCK_POINTS = 1 << 16  # RANSAC scores at most this many (sample, point) pairs at once
+_MAX_COORD = 1e100  # largest |coordinate| a Polygon accepts
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,12 @@ class Polygon:
             v = np.array([[p.x, p.y] if isinstance(p, Point2) else p for p in vertices], dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 (x, y) vertices")
-        if not np.isfinite(v).all():
-            raise ValueError("polygon vertices must be finite")
+        bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
+        # past 1e100 the centroid sums, cubic in the coordinates, could overflow
+        if not all(-_MAX_COORD <= c <= _MAX_COORD for c in bounds):
+            if not np.isfinite(v).all():
+                raise ValueError("polygon vertices must be finite")
+            raise ValueError("polygon vertices must lie within [-1e100, 1e100]")
         area2 = _signed_area2(v)
         if area2 == 0.0:
             raise ValueError("polygon has zero area")
@@ -133,7 +138,7 @@ class Polygon:
             raise ValueError("polygon has zero area")
         v.setflags(write=False)
         self._v = v
-        self._bounds = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
+        self._bounds = bounds
         self._area = 0.5 * area2
         self._centroid = Point2(float(((x + xn) * cross).sum() / (3.0 * a2)),
                                 float(((y + yn) * cross).sum() / (3.0 * a2)))
@@ -529,8 +534,8 @@ def distance_violations(positions, threshold: float):
     n = pts.shape[0]
     if n == 0:
         return []
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    with np.errstate(over="ignore"):  # an overflowing distance is +inf: never violates
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     adj = dist < threshold
     np.fill_diagonal(adj, False)
 

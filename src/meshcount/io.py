@@ -403,10 +403,13 @@ def _scenario_detection(d, where: str) -> Detection:
         msg = f"{where} needs numeric polygon coordinates and score, and an integer vehicle_id"
         raise ParseError(msg, line=1, column=1)
     try:
+        score = float(score)
         poly = Polygon(list(zip(flat[0::2], flat[1::2])))
+    except OverflowError as exc:
+        raise ParseError(f"{where} holds an integer too large for a float", line=1, column=1) from exc
     except ValueError as exc:
         raise ParseError(f"{where} polygon: {exc}", line=1, column=1) from exc
-    return Detection(polygon=poly, score=float(score), vehicle_id=vehicle_id)
+    return Detection(polygon=poly, score=score, vehicle_id=vehicle_id)
 
 
 def _scenario_node(nd, where: str, folder: Path) -> NodeSpec:
@@ -428,14 +431,15 @@ def _scenario_node(nd, where: str, folder: Path) -> NodeSpec:
             _scenario_detection(d, f"{at} detection #{didx}")
             for didx, d in enumerate(fr.get("detections", []))
         ]
-    return NodeSpec(
-        node_id=nd["id"],
-        neighbors=tuple(neighbors),
-        width=nd["width"],
-        height=nd["height"],
-        features=read_features_csv(folder / features_file) if features_file else [],
-        frames=frames,
-    )
+    try:
+        features = read_features_csv(folder / features_file) if features_file else []
+    except OSError as exc:
+        raise ParseError(f"{where} 'features_file': {exc}", line=1, column=1) from exc
+    try:
+        return NodeSpec(node_id=nd["id"], neighbors=tuple(neighbors), width=nd["width"],
+                        height=nd["height"], features=features, frames=frames)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}", line=1, column=1) from exc
 
 
 def _json_homography(matrix, where: str) -> Homography:
@@ -479,7 +483,10 @@ def read_scenario_json(path) -> Scenario:
         frames = list(dict.fromkeys(f for node in nodes for f in node.frames))
     ok = isinstance(frames, list) and all(type(f) in (str, int) for f in frames)
     _json_check(ok, "scenario 'frames' must be a list of string or integer frame ids")
-    return Scenario(nodes=nodes, frames=frames, ground_truth=ground_truth)
+    try:
+        return Scenario(nodes=nodes, frames=frames, ground_truth=ground_truth)
+    except ValueError as exc:
+        raise ParseError(f"scenario: {exc}", line=1, column=1) from exc
 
 
 # -- scorer models and samples -------------------------------------------------------

@@ -189,6 +189,8 @@ def match_boxes(preds, gts, iou_threshold: float) -> MatchResult:
         raise ValueError("iou_threshold must lie in (0, 1]")
     if not all(isinstance(d.shape, Polygon) for d in preds):
         raise ValueError("box matching needs Polygon prediction shapes")
+    if not all(isinstance(g, Polygon) for g in gts):
+        raise ValueError("box matching needs Polygon ground-truth shapes")
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     free = [True] * len(gts)
     pairs = []
@@ -264,9 +266,12 @@ def _gated_distances(preds, gts, radius: float):
         raise ValueError("radius must be positive")
     if not all(isinstance(d.shape, Point2) for d in preds):
         raise ValueError("point matching needs Point2 prediction shapes")
+    if not all(isinstance(q, Point2) for q in gts):
+        raise ValueError("point matching needs Point2 ground-truth shapes")
     p = np.array([[d.shape.x, d.shape.y] for d in preds]).reshape(-1, 2)
     g = np.array([[q.x, q.y] for q in gts]).reshape(-1, 2)
-    dist = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
+    with np.errstate(over="ignore"):  # an overflowing distance is +inf: never pairs
+        dist = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
     return dist, dist > GATE_FACTOR * radius
 
 

@@ -291,26 +291,34 @@ def _rl_grad(model, X, tuples, margin):
     return dw, float(_ordered_sum(_ordered_sum(coeff, axis=1)))
 
 
+def _scalar_batch(model, batch, method: str):
+    if model.head != SCALAR:
+        raise HeadMismatch(f"{method} needs a scalar head")
+    return _stack(batch, model.dim)
+
+
 def loss_ar(model: ScorerModel, batch, k: int = DEFAULT_K) -> float:
     """Half the squared error against the normalized agreement, summed."""
-    if model.head != SCALAR:
-        raise HeadMismatch("AR needs a scalar head")
-    return _ar_loss(model, *_stack(batch, model.dim), k)
+    return _ar_loss(model, *_scalar_batch(model, batch, "AR"), k)
 
 
 def grad_ar(model: ScorerModel, batch, k: int = DEFAULT_K):
-    return _ar_grad(model, *_stack(batch, model.dim), k)
+    return _ar_grad(model, *_scalar_batch(model, batch, "AR"), k)
+
+
+def _ac_batch(model, batch):
+    if model.head != CATEGORICAL:
+        raise HeadMismatch("AC needs a categorical head")
+    return _stack(batch, model.dim)
 
 
 def loss_ac(model: ScorerModel, batch) -> float:
     """Cross-entropy of the true agreement class, summed over the batch."""
-    if model.head != CATEGORICAL:
-        raise HeadMismatch("AC needs a categorical head")
-    return _ac_loss(model, *_stack(batch, model.dim))
+    return _ac_loss(model, *_ac_batch(model, batch))
 
 
 def grad_ac(model: ScorerModel, batch):
-    return _ac_grad(model, *_stack(batch, model.dim))
+    return _ac_grad(model, *_ac_batch(model, batch))
 
 
 def or_class_probs(s: float, thetas) -> np.ndarray:
@@ -325,35 +333,36 @@ def or_class_probs(s: float, thetas) -> np.ndarray:
     return _or_probs(_sigmoid(thetas - s)[None, :])[0]
 
 
-def loss_or(model: ScorerModel, batch) -> float:
-    """Negative log likelihood of the observed agreement classes, summed."""
+def _or_batch(model, batch):
     if model.head != SCALAR or model.thetas is None:
         raise HeadMismatch("OR needs a scalar head with thresholds")
-    return _or_loss(model, *_stack(batch, model.dim))
+    return _stack(batch, model.dim)
+
+
+def loss_or(model: ScorerModel, batch) -> float:
+    """Negative log likelihood of the observed agreement classes, summed."""
+    return _or_loss(model, *_or_batch(model, batch))
 
 
 def grad_or(model: ScorerModel, batch):
-    return _or_grad(model, *_stack(batch, model.dim))
+    return _or_grad(model, *_or_batch(model, batch))
 
 
 def _one_tuple(model, tup):
-    X, a = _stack(tup, model.dim)
-    return X, np.arange(a.size)[None, :], a
+    X, a = _scalar_batch(model, tup, "RL")
+    idx = np.arange(a.size)[None, :]
+    if not np.array_equal(a, idx[0]):
+        raise BadTuple("tuple must hold one sample per agreement level, in order")
+    return X, idx
 
 
 def loss_rl(model: ScorerModel, tup, margin: float = DEFAULT_MARGIN) -> float:
     """Class-balanced pairwise margin loss over one ordered tuple."""
-    if model.head != SCALAR:
-        raise HeadMismatch("RL needs a scalar head")
-    X, idx, a = _one_tuple(model, tup)
-    if not np.array_equal(a, idx[0]):
-        raise BadTuple("tuple must hold one sample per agreement level, in order")
-    return float(_rl_losses(model, X, idx, margin)[0])
+    return float(_rl_losses(model, *_one_tuple(model, tup), margin)[0])
 
 
 def grad_rl(model: ScorerModel, tup, margin: float = DEFAULT_MARGIN):
-    X, idx, _ = _one_tuple(model, tup)
-    return _rl_grad(model, X, idx, margin)
+    return _rl_grad(model, *_one_tuple(model, tup), margin)
 
 
 def _tuple_rows(agreements, count: int, seed: int, k: int) -> np.ndarray:

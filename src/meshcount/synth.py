@@ -100,8 +100,8 @@ def _world_to_image(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return hom[:, :2] / hom[:, 2:3]
 
 
-def _visible(m: np.ndarray, center: np.ndarray, shape) -> tuple[bool, bool]:
-    """(clearly inside, borderline) for one world point in one camera."""
+def _visible(m: np.ndarray, center: np.ndarray, shape) -> tuple[bool, bool, float]:
+    """(clearly inside, borderline, image x) for one world point in one camera."""
     w, h = shape
     x, y = _world_to_image(m, center[None, :])[0].tolist()
     inside = (
@@ -114,7 +114,7 @@ def _visible(m: np.ndarray, center: np.ndarray, shape) -> tuple[bool, bool]:
         or y < -_PLACEMENT_MARGIN
         or y >= h + _PLACEMENT_MARGIN
     )
-    return inside, not inside and not outside
+    return inside, not inside and not outside, x
 
 
 def generate_scene(spec: SyntheticSceneSpec) -> Scenario:
@@ -151,33 +151,23 @@ def generate_scene(spec: SyntheticSceneSpec) -> Scenario:
         [rng.uniform(0, world_w, n_land), rng.uniform(0, h, n_land)]
     )
     land_desc = rng.normal(0.0, 1.0, (n_land, _DESCRIPTOR_DIM))
-    features = {cam: [] for cam in range(spec.n_cameras)}
-    for cam in range(spec.n_cameras):
-        img = _world_to_image(warps[cam], land_pts)
-        for k in range(n_land):
-            x, y = img[k]
-            if 0.0 <= x < w and 0.0 <= y < h:
-                features[cam].append(
-                    Feature(
-                        Point2(float(x), float(y)),
-                        land_desc[k] + rng.normal(0.0, _DESCRIPTOR_NOISE, _DESCRIPTOR_DIM),
-                    )
-                )
+    features = {
+        cam: _landmark_features(warps[cam], land_pts, land_desc, spec.image_shape, rng)
+        for cam in range(spec.n_cameras)
+    }
 
     frames = [f"frame-{k:03d}" for k in range(spec.n_frames)]
     node_frames = {cam: {} for cam in range(spec.n_cameras)}
     global_counts = {}
     for frame_id in frames:
         placed = _place_vehicles(spec, world_w, h, warps, rng)
-        owners_of = _detectable_views(placed, warps, origins, h, spec.image_shape)
+        owners_of = _detectable_views(placed, origins, h)
         visible_any = sum(1 for owners in owners_of if owners)
         per_cam = {cam: [] for cam in range(spec.n_cameras)}
-        for vid, (center, corners) in enumerate(placed):
+        for vid, (_, corners, image_x, _) in enumerate(placed):
             for cam in owners_of[vid]:
                 img_corners = _world_to_image(warps[cam], corners)
-                u = float(
-                    np.clip(_world_to_image(warps[cam], center[None, :])[0, 0] / w, 0.0, 1.0)
-                )
+                u = float(np.clip(image_x[cam] / w, 0.0, 1.0))
                 # misses concentrate far from the camera; mean rate = drop_rate
                 p_drop = min(1.0, spec.drop_rate * 3.0 * u * u)
                 dropped = rng.uniform() < p_drop
@@ -223,27 +213,25 @@ def generate_scene(spec: SyntheticSceneSpec) -> Scenario:
     )
 
 
-def _detectable_views(placed, warps, origins, image_height, image_shape):
+def _detectable_views(placed, origins, image_height):
     """Cameras that can actually detect each vehicle.
 
-    A camera stands a little before its window at mid-height and looks
-    along +x; a vehicle is occluded from it when another vehicle sits on
-    the sight line (within a half-width), closer to the camera, and within
-    the occlusion reach. Cameras at different posts lose different cars,
-    which is exactly the redundancy overlapping views provide.
+    A camera that sees the center clearly inside stands a little before
+    its window at mid-height and looks along +x; a vehicle is occluded
+    from it when another vehicle sits on the sight line (within a
+    half-width), closer to the camera, and within the occlusion reach.
+    Cameras at different posts lose different cars, which is exactly the
+    redundancy overlapping views provide.
     """
     owners = []
-    centers = np.array([c for c, _ in placed]) if placed else np.zeros((0, 2))
+    centers = np.array([c for c, *_ in placed]) if placed else np.zeros((0, 2))
     cam_pos = [
         np.array([x0 - _CAMERA_SETBACK, image_height / 2.0]) for x0 in origins
     ]
     offsets = [centers - pos for pos in cam_pos]  # every vehicle relative to each camera
-    for vid in range(len(placed)):
+    for vid, (_, _, _, inside) in enumerate(placed):
         views = []
-        for cam in range(len(warps)):
-            inside, _ = _visible(warps[cam], centers[vid], image_shape)
-            if not inside:
-                continue
+        for cam in np.flatnonzero(inside).tolist():
             rel = offsets[cam]
             ray = rel[vid]
             dv = float(np.hypot(*ray))
@@ -265,7 +253,8 @@ def _detectable_views(placed, warps, origins, image_height, image_shape):
 
 def _place_vehicles(spec: SyntheticSceneSpec, world_w: float, h: float, warps, rng):
     """Rejection-sample vehicle rectangles: visible somewhere, never
-    borderline in any camera, and mutually separated."""
+    borderline in any camera, and mutually separated. Each entry is
+    (center, corners, image x per camera, clearly inside per camera)."""
     placed = []
     centers = np.empty((spec.n_vehicles, 2))  # centers[:len(placed)] are in use
     attempts = 0
@@ -279,13 +268,8 @@ def _place_vehicles(spec: SyntheticSceneSpec, world_w: float, h: float, warps, r
         center = np.array([rng.uniform(0, world_w), rng.uniform(0, h)])
         length = rng.uniform(24, 32)
         width = rng.uniform(12, 16)
-        inside_somewhere = False
-        borderline = False
-        for m in warps:
-            inside, border = _visible(m, center, spec.image_shape)
-            inside_somewhere = inside_somewhere or inside
-            borderline = borderline or border
-        if not inside_somewhere or borderline:
+        inside, border, image_x = zip(*(_visible(m, center, spec.image_shape) for m in warps))
+        if not any(inside) or any(border):
             continue
         others = centers[:len(placed)]
         if (np.hypot(center[0] - others[:, 0], center[1] - others[:, 1]) < _MIN_SEPARATION).any():
@@ -293,5 +277,17 @@ def _place_vehicles(spec: SyntheticSceneSpec, world_w: float, h: float, warps, r
         dx, dy = length / 2.0, width / 2.0
         corners = center + np.array([[-dx, -dy], [dx, -dy], [dx, dy], [-dx, dy]])
         centers[len(placed)] = center
-        placed.append((center, corners))
+        placed.append((center, corners, image_x, inside))
     return placed
+
+
+def _landmark_features(m: np.ndarray, land_pts, land_desc, shape, rng) -> list:
+    """Features of the landmarks inside one camera's image; one (kept, dim)
+    noise draw takes the same stream as a draw of dim per kept landmark."""
+    w, h = shape
+    img = _world_to_image(m, land_pts)
+    keep = np.flatnonzero(
+        (img[:, 0] >= 0.0) & (img[:, 0] < w) & (img[:, 1] >= 0.0) & (img[:, 1] < h)
+    )
+    desc = land_desc[keep] + rng.normal(0.0, _DESCRIPTOR_NOISE, (keep.size, _DESCRIPTOR_DIM))
+    return [Feature(Point2(x, y), d) for (x, y), d in zip(img[keep].tolist(), desc)]

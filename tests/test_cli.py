@@ -246,6 +246,8 @@ class TestMalformedScenario:
                 id="bow-tie",
             ),
             pytest.param({"polygon": [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]}, "zero area", id="collinear"),
+            pytest.param({"polygon": [0.0, 0.0, 1e200, 0.0, 0.0, 1e200]}, "within [-1e100, 1e100]",
+                         id="huge"),
             # np.dot gives this sliver an area of 2.2e-16; its centroid's sum is exactly 0
             pytest.param({"polygon": [0.4654651523800791, 0.8850662076476481] * 2
                           + [2.2814616647878854, 2.189733470562865]}, "zero area", id="sliver"),
@@ -617,6 +619,56 @@ class TestMalformedNumericCells:
                           "--out", str(tmp_path / "m.csv")], "line 2, column 4")
 
 
+class TestEvaluationInputs:
+    """Ground truths of the wrong shape, GAME points off the map and huge
+    coordinates exit 1 with one line naming the problem, or run to the end;
+    never a traceback or a RuntimeWarning."""
+
+    def run(self, tmp_path, capsys, command, pred_rows, gt_rows, *flags):
+        (tmp_path / "p.csv").write_text("image_id,class_id,score,geom\n" + "".join(
+            f"img,0,0.9,{geom}\n" for geom in pred_rows))
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\n" + "".join(
+            f"img,0,{geom}\n" for geom in gt_rows))
+        rc = main([command, "--pred", str(tmp_path / "p.csv"), "--gt", str(tmp_path / "g.csv"),
+                   *flags, "--out", str(tmp_path / "m.csv")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, pred_rows, gt_rows, reason", [
+        pytest.param("eval-detect", ["--mode", "box"], ["0,0,4,0,4,4"], ["1.0,2.0"],
+                     "box matching needs Polygon ground-truth shapes", id="box-mode-point-gt"),
+        pytest.param("eval-detect", ["--mode", "point"], ["1.0,2.0"], ["0,0,4,0,4,4"],
+                     "point matching needs Point2 ground-truth shapes", id="point-mode-polygon-gt"),
+        pytest.param("eval-count", ["--game", "1", "--width", "10", "--height", "10"],
+                     ["1.0,2.0"], ["15.0,2.0"], "--gt point (15.0, 2.0) in image 'img' lies "
+                     "outside [0, 10) x [0, 10)", id="game-point-past-the-width"),
+        pytest.param("eval-count", ["--game", "1", "--width", "10", "--height", "10"],
+                     ["-3.5,2.0"], ["1.0,2.0"], "--pred point (-3.5, 2.0)", id="game-negative-x"),
+        pytest.param("eval-count", ["--game", "1", "--width", "10", "--height", "10"],
+                     ["1.0,2.0"], ["0,0,4,0,4,4"], "GAME needs point rows; --gt has a polygon",
+                     id="game-polygon-row"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused(self, tmp_path, capsys, command, flags, pred_rows, gt_rows, reason):
+        rc, err = self.run(tmp_path, capsys, command, pred_rows, gt_rows, *flags)
+        assert rc == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert reason in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_point_at_1e200_never_pairs(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, "eval-detect", ["1e200,1.0", "-1e200,2.0"],
+                           ["1.0,1.0"], "--mode", "point")
+        assert (rc, err) == (0, "")
+        assert "class0_recall,0.0" in (tmp_path / "m.csv").read_text()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_detection_polygon_at_1e200_is_positioned(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, "eval-detect", ["0,0,4,0,4,4", "0,0,1e200,0,0,1e200"],
+                           ["0,0,4,0,4,4"])
+        assert rc == 1
+        assert "line 3, column 4" in err and "within [-1e100, 1e100]" in err
+
+
 class TestSanitize:
     def test_fit_and_pad(self, tmp_path, capsys):
         path = tmp_path / "boxes.csv"
@@ -669,6 +721,17 @@ class TestDistanceCheck:
                    "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines() == ["group,members"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances_never_violate(self, tmp_path, capsys):
+        pos = tmp_path / "pos.csv"
+        io.write_positions_csv(pos, [Point2(1e200, 0), Point2(-1e200, 0), Point2(0, -1e200),
+                                     Point2(1e200, 0.5)])
+        out = tmp_path / "v.csv"
+        rc = main(["distance-check", "--positions", str(pos), "--threshold", "1.0",
+                   "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert out.read_text().splitlines() == ["group,members", "0,0;3"]
 
 
 class TestDispatch:

@@ -1,4 +1,6 @@
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,7 +140,7 @@ class TestScenarioJson:
         }
         path = tmp_path / "bad.json"
         path.write_text(__import__("json").dumps(doc))
-        with pytest.raises(ValueError, match="0 and 1"):
+        with pytest.raises(ParseError, match="0 and 1"):
             io.read_scenario_json(path)
 
     def test_non_utf8_byte_past_the_first_chunk(self, tmp_path):
@@ -457,6 +459,59 @@ class TestCsvFuzz:
 
 GOOD_MATRIX = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+odd_values = st.sampled_from(
+    [None, True, 0, -1, 2**70, 10**400, 1e200, -1e200, 1e308, float("nan"), float("inf"),
+     "x", "0", [], [1.0], {}, {"a": 1}, [[1.0, 2.0]] * 3]
+).map(copy.deepcopy) | json_values
+GOOD_JSON = {
+    io.read_scenario_json: {
+        "nodes": [
+            {"id": 0, "neighbors": [1], "width": 32, "height": 32, "features_file": "f.csv",
+             "frames": [{"frame_id": "f0", "detections": [
+                 {"polygon": [0.0, 0.0, 4.0, 0.0, 4.0, 4.0], "score": 0.9, "vehicle_id": 2}]}]},
+            {"id": 1, "neighbors": [0], "width": 32, "height": 32, "frames": []},
+        ],
+        "frames": ["f0"],
+        "ground_truth": {"frames": [{"frame_id": "f0", "global_count": 1}],
+                         "homographies": [{"src": 0, "dst": 1, "matrix": GOOD_MATRIX}]},
+    },
+    io.read_model_json: {"head": "scalar", "weights": [0.5, -1.0], "bias": 0.1,
+                         "thetas": [-1.0, 0.0, 2.0]},
+    io.read_homography_json: {"matrix": GOOD_MATRIX},
+}
+
+
+def json_paths(doc, at=()):
+    """Every (key or index) path into a JSON document, the root included."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_paths(value, at + (key,))
+
+
+@st.composite
+def mutated_json(draw, read):
+    """A valid document of ``read`` with a few entries replaced or removed."""
+    doc = json.loads(json.dumps(GOOD_JSON[read]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            return draw(odd_values)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(odd_values)
+        else:
+            del parent[path[-1]]
+    return doc
+
 
 class TestMalformedJsonEntries:
     """A JSON document or entry of the wrong shape is a ParseError at line 1,
@@ -515,6 +570,20 @@ class TestMalformedJsonEntries:
             read(path)
         assert (err.value.line, err.value.column) == (1, 1)
         assert names in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(read=st.sampled_from(list(GOOD_JSON)), data=st.data())
+    def test_fuzz_returns_or_raises_a_positioned_parse_error(self, tmp_path_factory, read, data):
+        doc = data.draw(json_values | mutated_json(read))
+        folder = tmp_path_factory.mktemp("fuzz")
+        (folder / "f.csv").write_text("x,y,d0\n1.0,2.0,0.5\n", encoding="utf-8")
+        (folder / "in.json").write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                read(folder / "in.json")
+        except ParseError as exc:
+            assert exc.line is not None
 
     def test_ground_truth_round_trip(self, tmp_path):
         spec = SyntheticSceneSpec(n_cameras=3, n_vehicles=8, overlap=0.4, warp="projective",

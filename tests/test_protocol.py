@@ -537,7 +537,7 @@ def ref_detectable_views(placed, warps, origins, image_height, image_shape):
     for vid in range(len(placed)):
         views = []
         for cam in range(len(warps)):
-            inside, _ = synth._visible(warps[cam], centers[vid], image_shape)
+            inside, _, _ = synth._visible(warps[cam], centers[vid], image_shape)
             if not inside:
                 continue
             ray = centers[vid] - cam_pos[cam]
@@ -575,7 +575,7 @@ def ref_place_vehicles(spec, world_w, h, warps, rng):
         inside_somewhere = False
         borderline = False
         for m in warps:
-            inside, border = synth._visible(m, center, spec.image_shape)
+            inside, border, _ = synth._visible(m, center, spec.image_shape)
             inside_somewhere = inside_somewhere or inside
             borderline = borderline or border
         if not inside_somewhere or borderline:
@@ -587,6 +587,48 @@ def ref_place_vehicles(spec, world_w, h, warps, rng):
         corners = center + np.array([[-dx, -dy], [dx, -dy], [dx, dy], [-dx, dy]])
         placed.append((center, corners))
     return placed
+
+
+def ref_landmark_features(m, land_pts, land_desc, shape, rng):
+    """synth._landmark_features with one noise draw per kept landmark."""
+    w, h = shape
+    img = synth._world_to_image(m, land_pts)
+    features = []
+    for k in range(len(land_pts)):
+        x, y = img[k]
+        if 0.0 <= x < w and 0.0 <= y < h:
+            features.append(
+                Feature(
+                    Point2(float(x), float(y)),
+                    land_desc[k] + rng.normal(0.0, synth._DESCRIPTOR_NOISE, synth._DESCRIPTOR_DIM),
+                )
+            )
+    return features
+
+
+def patch_reference_generator(monkeypatch):
+    """Run generate_scene on the reference loops.
+
+    The references keep the old (center, corners) entries and their own
+    per-camera `_visible` loops. The adapters give each entry the image x
+    that the drop weight reads, projected afresh as the generator once did.
+    """
+    scene = {}
+
+    def place(spec, world_w, h, warps, rng):
+        scene.update(warps=warps, shape=spec.image_shape)
+        return [
+            (center, corners, [synth._world_to_image(m, center[None, :])[0, 0] for m in warps], None)
+            for center, corners in ref_place_vehicles(spec, world_w, h, warps, rng)
+        ]
+
+    def detectable(placed, origins, image_height):
+        old_entries = [(center, corners) for center, corners, _, _ in placed]
+        return ref_detectable_views(old_entries, scene["warps"], origins, image_height, scene["shape"])
+
+    monkeypatch.setattr(synth, "_place_vehicles", place)
+    monkeypatch.setattr(synth, "_detectable_views", detectable)
+    monkeypatch.setattr(synth, "_landmark_features", ref_landmark_features)
 
 
 def scene_facts(scenario):
@@ -614,8 +656,7 @@ class TestSynthGenerator:
     ])
     def test_matches_the_per_vehicle_loops(self, spec, monkeypatch):
         scene = generate_scene(spec)
-        monkeypatch.setattr(synth, "_detectable_views", ref_detectable_views)
-        monkeypatch.setattr(synth, "_place_vehicles", ref_place_vehicles)
+        patch_reference_generator(monkeypatch)
         assert scene_facts(scene) == scene_facts(generate_scene(spec))
 
     def test_noise_free_truth_matches_detectable_vehicles(self):

@@ -512,6 +512,25 @@ class TestRl:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("loss, grad, model, batch, error", [
+        pytest.param(loss_ar, grad_ar, ScorerModel("categorical", np.zeros((K + 1, 1)),
+                                                   np.zeros(K + 1)),
+                     [sample([0.0], 1)], HeadMismatch, id="ar-categorical-head"),
+        pytest.param(loss_ac, grad_ac, scalar_model([0.0], 0.0), [sample([0.0], 1)],
+                     HeadMismatch, id="ac-scalar-head"),
+        pytest.param(loss_or, grad_or, scalar_model([0.0], 0.0), [sample([0.0], 1)],
+                     HeadMismatch, id="or-no-thresholds"),
+        pytest.param(loss_rl, grad_rl, scalar_model([1.0], 0.0),
+                     [sample([0.0], i) for i in (0, 1, 1, 3, 4, 5, 6, 7)], BadTuple,
+                     id="rl-misordered-tuple"),
+    ])
+    def test_gradient_refuses_what_its_loss_refuses(self, loss, grad, model, batch, error):
+        with pytest.raises(error) as from_loss:
+            loss(model, batch)
+        with pytest.raises(error) as from_grad:
+            grad(model, batch)
+        assert str(from_grad.value) == str(from_loss.value)
+
     def test_ar_gradient_matches_fd(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
