@@ -98,9 +98,7 @@ from .metrics import (
 from .protocol import (
     Detection,
     GroundTruth,
-    Message,
     NodeSpec,
-    NodeState,
     ProtocolConfig,
     Report,
     Scenario,
@@ -108,7 +106,6 @@ from .protocol import (
     aggregate,
     compute_mu_outcome,
     global_count,
-    local_count,
     masking_count,
     naive_count,
     run_scenario,

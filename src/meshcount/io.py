@@ -21,13 +21,16 @@ import numpy as np
 from .annotate import SkeletonBox
 from .density import DensityMap
 from .errors import DegenerateConfiguration, ParseError, UnorderedThetas
-from .geometry import Correspondence, Homography, Point2, Polygon
+from .geometry import _MAX_COORD, Correspondence, Homography, Point2, Polygon
 from .matching import Feature
 from .metrics import ScoredDetection
 from .protocol import Detection, GroundTruth, NodeSpec, Report, Scenario
 from .rescoring import AgreementSample, ScorerModel
 
 DMF_MAGIC = b"DMF1"
+# feature and correspondence cells: past this bound, squares and products of
+# them in matching and calibration could overflow
+_BOUNDED = (slice(None), lambda v: abs(v) <= _MAX_COORD, "a number within [-1e100, 1e100]")
 
 
 def _write_csv(path, header, rows):
@@ -188,7 +191,7 @@ def read_features_csv(path):
     header, body, lines = _csv_body(
         path, "feature", "x,y,d0,...", lambda h: h[:2] == ["x", "y"] and len(h) > 2
     )
-    values = _matrix(body, len(header), lines)
+    values = _matrix(body, len(header), lines, _BOUNDED)
     return [Feature(Point2(x, y), d) for (x, y), d in zip(values[:, :2].tolist(), values[:, 2:])]
 
 
@@ -200,7 +203,7 @@ def write_correspondences_csv(path, corrs):
 def read_correspondences_csv(path):
     header = ["src_x", "src_y", "dst_x", "dst_y"]
     _, body, lines = _csv_body(path, "correspondence", ",".join(header), lambda h: h == header)
-    values = _matrix(body, 4, lines).tolist()
+    values = _matrix(body, 4, lines, _BOUNDED).tolist()
     return [Correspondence(Point2(sx, sy), Point2(dx, dy)) for sx, sy, dx, dy in values]
 
 
@@ -402,14 +405,15 @@ def _scenario_detection(d, where: str) -> Detection:
     if not numeric or type(vehicle_id) not in (int, type(None)):
         msg = f"{where} needs numeric polygon coordinates and score, and an integer vehicle_id"
         raise ParseError(msg, line=1, column=1)
+    if not 0.0 <= score <= 1.0:  # NaN and the infinities included
+        raise ParseError(f"{where} needs a score in [0, 1], got {score!r}", line=1, column=1)
     try:
-        score = float(score)
         poly = Polygon(list(zip(flat[0::2], flat[1::2])))
     except OverflowError as exc:
         raise ParseError(f"{where} holds an integer too large for a float", line=1, column=1) from exc
     except ValueError as exc:
         raise ParseError(f"{where} polygon: {exc}", line=1, column=1) from exc
-    return Detection(polygon=poly, score=score, vehicle_id=vehicle_id)
+    return Detection(polygon=poly, score=float(score), vehicle_id=vehicle_id)
 
 
 def _scenario_node(nd, where: str, folder: Path) -> NodeSpec:

@@ -1,16 +1,16 @@
 """Decentralized multi-camera counting protocol as a deterministic simulation.
 
-Smart cameras form a graph with one sink. The sink phases the protocol:
-an initialization round calibrates every neighbor pair with feature
-matching plus RANSAC, and each compute round has every node report its
-local count and exchange masks so duplicate detections in overlapping
-views are subtracted once at the sink. Naive summation and overlap
+Smart cameras form a graph with one sink, and the protocol runs in phases.
+Neighbors calibrate once: each pair matches features and fits a homography
+with RANSAC, both ways. Then, in every frame, each camera counts locally,
+neighbors judge each other's masks on their own image plane, and the sink
+sums the local counts and subtracts the duplicates. The simulator calls
+these phases directly in a fixed order. Naive summation and overlap
 masking are included as baselines.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,15 +18,6 @@ import numpy as np
 from .errors import CalibrationFailed, NoConsensus, PointAtInfinity
 from .geometry import Homography, Polygon, RansacParams, iou, project_polygon, ransac_homography
 from .matching import default_max_dist, distance_filter, ratio_match, to_correspondences
-
-SINK = "S"
-
-INIT_SIGNAL = "InitSignal"
-FEATURE_SHARE = "FeatureShare"
-COMPUTE_SIGNAL = "ComputeSignal"
-MASK_SHARE = "MaskShare"
-ETA_REPORT = "EtaReport"
-MU_REPORT = "MuReport"
 
 AGGREGATIONS = ("min", "max", "mean")
 
@@ -108,22 +99,6 @@ class ProtocolConfig:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
 
-@dataclass(frozen=True)
-class Message:
-    kind: str
-    src: object
-    dst: object
-    payload: object = None
-
-
-@dataclass
-class NodeState:
-    node_id: int
-    homographies: dict = field(default_factory=dict)  # neighbor -> H mapping them to us
-    last_masks: list = field(default_factory=list)
-    eta: int = 0
-
-
 # -- protocol operations -------------------------------------------------------
 
 
@@ -146,17 +121,6 @@ def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
     corrs = to_correspondences(features_src, features_dst, matches)
     h, mask = ransac_homography(corrs, config.ransac)
     return h, corrs, mask
-
-
-def local_count(state: NodeState, detections):
-    """Count detections locally and emit the eta report plus mask shares."""
-    detections = list(detections)
-    state.eta = len(detections)
-    state.last_masks = detections
-    messages = [Message(ETA_REPORT, state.node_id, SINK, state.eta)]
-    for j in sorted(state.homographies):
-        messages.append(Message(MASK_SHARE, state.node_id, j, detections))
-    return state.eta, messages
 
 
 @dataclass(frozen=True)
@@ -252,97 +216,55 @@ def masking_count(scenario: Scenario, homographies, frame_id) -> int:
     return total
 
 
-# -- the event-driven simulator --------------------------------------------------
+# -- the simulator -----------------------------------------------------------------
 
 
 class Simulator:
-    """Single event loop with reliable per-link FIFO delivery.
+    """The protocol's phases as direct calls, in a fixed order.
 
-    Node handlers are pure state transitions (state, message) ->
-    (state, outgoing messages); the sink drives phases and fuses reports.
+    ``initialize`` calibrates every neighbor pair once. Each ``run_frame``
+    takes every node's local count, judges each overlapping pair's masks
+    both ways, and fuses the counts as the sink does.
     """
 
     def __init__(self, scenario: Scenario, config: ProtocolConfig | None = None):
         self.scenario = scenario
         self.config = config or ProtocolConfig()
-        self.states = {n.node_id: NodeState(n.node_id) for n in scenario.nodes}
-        self.homographies = {}  # (j, i) -> H mapping plane j to plane i
-        self._queue = deque()
-        self._initialized = False
-
-    # message handling ------------------------------------------------------
-
-    def _dispatch(self, msg: Message):
-        if msg.dst == SINK:
-            self._sink_handle(msg)
-            return
-        node = self.scenario.node(msg.dst)
-        state = self.states[msg.dst]
-        if msg.kind == INIT_SIGNAL:
-            for j in node.neighbors:
-                self._queue.append(Message(FEATURE_SHARE, node.node_id, j, node.features))
-        elif msg.kind == FEATURE_SHARE:
-            try:
-                h, _, _ = _pairwise_homography(msg.payload, node.features, self.config)
-            except NoConsensus as exc:
-                raise CalibrationFailed(node.node_id, msg.src, str(exc)) from exc
-            state.homographies[msg.src] = h
-            self.homographies[(msg.src, node.node_id)] = h
-        elif msg.kind == COMPUTE_SIGNAL:
-            detections = node.frames.get(msg.payload, [])
-            _, outgoing = local_count(state, detections)
-            self._queue.extend(outgoing)
-        elif msg.kind == MASK_SHARE:
-            outcome = compute_mu_outcome(
-                state.last_masks,
-                msg.payload,
-                state.homographies[msg.src],
-                self.config.tau,
-                (node.width, node.height),
-            )
-            self._queue.append(
-                Message(MU_REPORT, node.node_id, SINK, (msg.src, outcome))
-            )
-        else:
-            raise ValueError(f"unexpected message kind {msg.kind}")
-
-    def _sink_handle(self, msg: Message):
-        if msg.kind == ETA_REPORT:
-            self._etas[msg.src] = msg.payload
-        elif msg.kind == MU_REPORT:
-            src_of_masks, outcome = msg.payload
-            self._mus[(src_of_masks, msg.src)] = outcome
-        else:
-            raise ValueError(f"unexpected sink message kind {msg.kind}")
-
-    def _drain(self):
-        while self._queue:
-            self._dispatch(self._queue.popleft())
-
-    # phases ------------------------------------------------------------------
+        self.homographies = None  # (j, i) -> H mapping plane j to plane i, once calibrated
 
     def initialize(self):
-        """Sink broadcast, feature exchange, pairwise calibration."""
-        for node in sorted(self.scenario.nodes, key=lambda n: n.node_id):
-            self._queue.append(Message(INIT_SIGNAL, SINK, node.node_id))
-        self._drain()
-        self._initialized = True
-        return self.homographies
+        """Calibrate each node against each neighbor from the pair's features.
+
+        Senders go in id order, each to its sorted neighbors; the first pair
+        without consensus raises CalibrationFailed(receiver, sender).
+        """
+        homographies = {}
+        for sender in sorted(self.scenario.nodes, key=lambda n: n.node_id):
+            for j in sender.neighbors:
+                receiver = self.scenario.node(j)
+                try:
+                    h, _, _ = _pairwise_homography(sender.features, receiver.features, self.config)
+                except NoConsensus as exc:
+                    raise CalibrationFailed(j, sender.node_id, str(exc)) from exc
+                homographies[(sender.node_id, j)] = h
+        self.homographies = homographies
+        return homographies
 
     def run_frame(self, frame_id):
         """One compute round; returns the frame's report row and diagnostics
         entry, both in their final JSON-ready form."""
-        if not self._initialized:
+        if self.homographies is None:
             raise RuntimeError("initialize() must run before compute rounds")
-        self._etas = {}
-        self._mus = {}  # (j, i) -> MuOutcome for masks of j judged by i
-        for node in sorted(self.scenario.nodes, key=lambda n: n.node_id):
-            self._queue.append(Message(COMPUTE_SIGNAL, SINK, node.node_id, frame_id))
-        self._drain()
-
+        nodes = {n.node_id: n for n in sorted(self.scenario.nodes, key=lambda n: n.node_id)}
+        detections = {node_id: n.frames.get(frame_id, []) for node_id, n in nodes.items()}
         pairs = []
         for i, j in self.scenario.neighbor_pairs():
-            ij, ji = self._mus[(i, j)], self._mus[(j, i)]  # ji: masks of j judged on plane i
+            ni, nj = nodes[i], nodes[j]
+            # ij: masks of i judged on plane j; ji: masks of j judged on plane i
+            ij = compute_mu_outcome(detections[j], detections[i], self.homographies[(i, j)],
+                                    self.config.tau, (nj.width, nj.height))
+            ji = compute_mu_outcome(detections[i], detections[j], self.homographies[(j, i)],
+                                    self.config.tau, (ni.width, ni.height))
             pairs.append(
                 {
                     "pair": (i, j),
@@ -352,10 +274,10 @@ class Simulator:
                     "skipped_projections": ji.skipped_projections + ij.skipped_projections,
                 }
             )
-        etas = [self._etas[n.node_id] for n in self.scenario.nodes]
-        naive = naive_count(etas)
+        etas = {node_id: len(dets) for node_id, dets in detections.items()}
+        naive = naive_count(etas.values())
         masking = masking_count(self.scenario, self.homographies, frame_id)
-        ours = global_count(etas, [p["aggregated"] for p in pairs])
+        ours = global_count(etas.values(), [p["aggregated"] for p in pairs])
         truth = self.scenario.ground_truth
         gt = None if truth is None else truth.global_counts.get(frame_id)
         row = {
@@ -372,7 +294,7 @@ class Simulator:
         diagnostics = {
             "frame_id": frame_id,
             # string keys, so the JSON twin sorts them as text (sort_keys)
-            "etas": {str(node_id): eta for node_id, eta in self._etas.items()},
+            "etas": {str(node_id): eta for node_id, eta in etas.items()},
             "pairs": pairs,
             "triple_overlap_candidates": self._triple_overlap_candidates(frame_id),
         }

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from meshcount import io
 from meshcount.cli import main
-from meshcount.geometry import Homography, Point2, Polygon
+from meshcount.geometry import Correspondence, Homography, Point2, Polygon
 from meshcount.matching import Feature
 from meshcount.protocol import ProtocolConfig, Simulator
 from meshcount.rescoring import AgreementSample
@@ -113,6 +114,7 @@ class TestMalformedCalibrationInputs:
         assert rc == 1
         assert "Traceback" not in err
         assert where in err
+        return err
 
     @pytest.mark.parametrize(
         "row, where",
@@ -144,6 +146,62 @@ class TestMalformedCalibrationInputs:
         path.write_text(f"src_x,src_y,dst_x,dst_y\n0.0,0.0,1.0,1.0\n{row}\n")
         self.run(capsys, ["calibrate", "--correspondences", str(path),
                           "--out", str(tmp_path / "h.json")], where)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            # past 1e100 the squares of ratio matching overflow ...
+            pytest.param("descriptors", "line 2, column 3", id="descriptors"),
+            # ... and so do the products of the collinearity test of a 4-point sample
+            pytest.param("keypoints", "line 2, column 1", id="matching-keypoints"),
+            pytest.param("correspondences", "line 2, column 1", id="correspondences"),
+        ],
+    )
+    def test_cell_past_1e100(self, tmp_path, capsys, case, where):
+        rng = np.random.default_rng(0)
+        big = rng.uniform(1.0, 2.0, (10, 2)) * 1e200
+        if case == "correspondences":
+            pairs = zip(big.tolist(), (1.5 * big + 1e199).tolist())
+            io.write_correspondences_csv(
+                tmp_path / "c.csv", [Correspondence(Point2(*a), Point2(*b)) for a, b in pairs]
+            )
+            argv = ["calibrate", "--correspondences", str(tmp_path / "c.csv")]
+        else:
+            if case == "descriptors":
+                kp_a = kp_b = rng.uniform(0.0, 100.0, (10, 2))
+                desc_a, desc_b = rng.uniform(-1e200, 1e200, (2, 10, 8))
+            else:
+                kp_a, kp_b = big, 1.5 * big + 1e199
+                desc_a = desc_b = rng.uniform(0.0, 1.0, (10, 8))
+            for name, kp, desc in (("a", kp_a, desc_a), ("b", kp_b, desc_b)):
+                feats = [Feature(Point2(*k), d) for k, d in zip(kp.tolist(), desc)]
+                io.write_features_csv(tmp_path / f"{name}.csv", feats)
+            argv = ["calibrate", "--features-a", str(tmp_path / "a.csv"),
+                    "--features-b", str(tmp_path / "b.csv")]
+        err = self.run(capsys, argv + ["--out", str(tmp_path / "h.json")], where)
+        assert "expected a number within [-1e100, 1e100]" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cells_within_1e100_end_without_a_warning(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        kp = rng.uniform(-1e100, 1e100, (3, 10, 2))
+        desc = rng.uniform(-1e100, 1e100, (2, 10, 8))
+        files = {"a": (kp[0], desc[0]), "b": (kp[1], desc[1]), "c": (kp[2], desc[0])}
+        for name, (points, descs) in files.items():
+            feats = [Feature(Point2(*k), d) for k, d in zip(points.tolist(), descs)]
+            io.write_features_csv(tmp_path / f"{name}.csv", feats)
+        cells = rng.uniform(-1e100, 1e100, (10, 4)).tolist()
+        corrs = [Correspondence(Point2(a, b), Point2(c, d)) for a, b, c, d in cells]
+        io.write_correspondences_csv(tmp_path / "corr.csv", corrs)
+        for inputs in (["--features-a", "a.csv", "--features-b", "b.csv"],
+                       ["--features-a", "a.csv", "--features-b", "c.csv"],  # same descriptors
+                       ["--correspondences", "corr.csv"]):
+            argv = [arg if arg.startswith("--") else str(tmp_path / arg) for arg in inputs]
+            rc = main(["calibrate", *argv, "--out", str(tmp_path / "h.json")])
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert "Traceback" not in err
 
 
 class TestScenePipeline:
@@ -198,6 +256,21 @@ class TestScenePipeline:
         assert rc == 2
         assert "calibration failed for pair (1, 0): no features on one side" in err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_first_failing_pair_in_sender_order_is_named(self, tmp_path, capsys):
+        # senders calibrate in id order, each to its sorted neighbors: 0 -> 1, 1 -> 0, then
+        # 1 -> 2 is the first pair where node 2, which has no features, receives
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "4", "--seed", "1", "--frames", "1",
+                     "--out", str(scene)]) == 0
+        doc = json.loads(scene.read_text())
+        del doc["nodes"][2]["features_file"]
+        scene.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "calibration failed for pair (2, 1): no features on one side" in err
 
     def test_infeasible_overlap_exits_two(self, tmp_path):
         rc = main(["gen-scene", "--cameras", "4", "--overlap", "0.8",
@@ -266,6 +339,22 @@ class TestMalformedScenario:
         err = self.run_simulate(tmp_path, capsys, frames)
         assert "node #0 frame #0 detection #1" in err
         assert reason in err
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, 1.5, -0.2],
+                             ids=["nan", "inf", "minus-inf", "above-one", "negative"])
+    def test_score_outside_the_unit_interval(self, tmp_path, capsys, score):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "2", "--seed", "1", "--frames", "1",
+                     "--out", str(scene)]) == 0
+        doc = json.loads(scene.read_text())
+        doc["nodes"][1]["frames"][0]["detections"][0]["score"] = score
+        scene.write_text(json.dumps(doc))  # NaN and Infinity as JSON's non-standard literals
+        capsys.readouterr()
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert "node #1 frame #0 detection #0 needs a score in [0, 1]" in err
 
     @pytest.mark.parametrize(
         "frame",
@@ -533,6 +622,7 @@ class TestMalformedNumericCells:
         assert rc == 1
         assert "Traceback" not in err
         assert where in err
+        return err
 
     def test_dots_non_utf8_byte_is_positioned_in_the_file(self, tmp_path, capsys):
         dots = tmp_path / "dots.csv"

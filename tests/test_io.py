@@ -275,13 +275,16 @@ class TestCsvRoundTrips:
         return back
 
     def test_features(self, tmp_path):
-        v = tricky_floats(1, 70).reshape(10, 7)
+        # feature cells must lie within [-1e100, 1e100]: fold larger ones in exactly
+        v = np.fmod(tricky_floats(1, 70), 1e100).reshape(10, 7)
+        v[-1, -2:] = 1e100, -1e100
         feats = [Feature(Point2(x, y), d) for (x, y), d in zip(v[:, :2].tolist(), v[:, 2:])]
         back = self.round_trip(tmp_path, io.write_features_csv, io.read_features_csv, feats)
         assert same_bits([[f.keypoint.x, f.keypoint.y, *f.descriptor] for f in back], v)
 
     def test_correspondences(self, tmp_path):
-        v = tricky_floats(2, 40).reshape(10, 4)
+        v = np.fmod(tricky_floats(2, 40), 1e100).reshape(10, 4)  # cells within [-1e100, 1e100]
+        v[-1, -2:] = 1e100, -1e100
         corrs = [Correspondence(Point2(a, b), Point2(c, d)) for a, b, c, d in v.tolist()]
         back = self.round_trip(
             tmp_path, io.write_correspondences_csv, io.read_correspondences_csv, corrs
@@ -387,6 +390,11 @@ class TestPositionedCsvErrors:
                          id="samples-agreement-before-feature"),
             pytest.param(io.read_features_csv, "x,y,d0\n1.0,2.0,3.0\n1.0,2.0\n", 3, 3,
                          id="features-short-row"),
+            pytest.param(io.read_features_csv, "x,y,d0\n1.0,2.0,3.0\n1.0,2.0,1.1e100\n", 3, 3,
+                         id="features-huge-descriptor"),
+            pytest.param(io.read_correspondences_csv,
+                         "src_x,src_y,dst_x,dst_y\n1,2,3,4\n1,-1e101,3,4\n", 3, 2,
+                         id="correspondences-huge-cell"),
             pytest.param(io.read_correspondences_csv,
                          "src_x,src_y,dst_x,dst_y\n1,x,3,4\n1,2,3,4,5\n", 2, 2,
                          id="bad-cell-before-long-row"),

@@ -21,17 +21,14 @@ from meshcount.matching import Feature
 from meshcount.protocol import (
     Detection,
     GroundTruth,
-    Message,
     MuOutcome,
     NodeSpec,
-    NodeState,
     ProtocolConfig,
     Scenario,
     Simulator,
     aggregate,
     compute_mu_outcome,
     global_count,
-    local_count,
     masking_count,
     naive_count,
     run_scenario,
@@ -212,27 +209,6 @@ class TestNaiveCount:
         assert naive_count([]) == 0
 
 
-class TestLocalCount:
-    def test_zero_detections(self):
-        state = NodeState(node_id=0, homographies={1: Homography.identity()})
-        eta, msgs = local_count(state, [])
-        assert eta == 0
-        kinds = [m.kind for m in msgs]
-        assert kinds == ["EtaReport", "MaskShare"]
-
-    def test_five_detections_share_masks_with_each_neighbor(self):
-        state = NodeState(
-            node_id=0,
-            homographies={1: Homography.identity(), 2: Homography.identity()},
-        )
-        dets = [box_detection(10 * i, 0, 10 * i + 5, 5) for i in range(5)]
-        eta, msgs = local_count(state, dets)
-        assert eta == 5
-        shares = [m for m in msgs if m.kind == "MaskShare"]
-        assert [m.dst for m in shares] == [1, 2]
-        assert all(len(m.payload) == 5 for m in shares)
-
-
 def two_node_scenario(det0, det1, width=400, height=100, shift=200.0, gt=None):
     """Two cameras over a strip world; camera 1 sees the world shifted left."""
     rng = np.random.default_rng(99)
@@ -302,6 +278,12 @@ class TestInitPhase:
         scenario = Scenario(nodes=nodes, frames=["f0"])
         with pytest.raises(CalibrationFailed):
             Simulator(scenario, ProtocolConfig()).initialize()
+
+    def test_compute_round_needs_calibration_first(self):
+        node = NodeSpec(0, (), 64, 64, [], {"f0": []})
+        sim = Simulator(Scenario(nodes=[node], frames=["f0"]), ProtocolConfig())
+        with pytest.raises(RuntimeError, match="initialize"):
+            sim.run_frame("f0")
 
 
 class TestMaskingCount:
