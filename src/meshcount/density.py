@@ -150,19 +150,23 @@ def dots_to_density(dots: DotAnnotation, shape, kernel: KernelSpec) -> DensityMa
             raise OutOfBounds(f"dot ({p.x}, {p.y}) outside [0, {w}) x [0, {h})")
     sigmas = _resolve_sigmas(dots, kernel)
     for s in sigmas:
-        if not s > 0:
+        if not s * s > 0:  # a square that underflows is a zero bandwidth too
             raise SigmaZero("kernel bandwidth resolved to zero")
     for p, s in zip(dots.points, sigmas):
-        r = int(math.ceil(3.0 * s))
+        r = math.ceil(min(3.0 * s, w + h))  # any radius past the map covers all of it
         cx, cy = int(round(p.x)), int(round(p.y))
         x0, x1 = max(0, cx - r), min(w - 1, cx + r)
         y0, y1 = max(0, cy - r), min(h - 1, cy + r)
         ys = np.arange(y0, y1 + 1)
         xs = np.arange(x0, x1 + 1)
-        g = np.exp(
-            -((xs[None, :] - p.x) ** 2 + (ys[:, None] - p.y) ** 2) / (2.0 * s * s)
-        )
-        out[y0 : y1 + 1, x0 : x1 + 1] += g / g.sum()
+        with np.errstate(over="ignore"):  # a far pixel of a tiny sigma: exp(-inf) = 0
+            g = np.exp(
+                -((xs[None, :] - p.x) ** 2 + (ys[:, None] - p.y) ** 2) / (2.0 * s * s)
+            )
+        mass = g.sum()
+        if mass == 0.0:
+            raise SigmaZero(f"kernel bandwidth {s!r} at dot ({p.x}, {p.y}) covers no pixel")
+        out[y0 : y1 + 1, x0 : x1 + 1] += g / mass
     return DensityMap(out)
 
 

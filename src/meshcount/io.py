@@ -28,8 +28,8 @@ from .protocol import Detection, GroundTruth, NodeSpec, Report, Scenario
 from .rescoring import AgreementSample, ScorerModel
 
 DMF_MAGIC = b"DMF1"
-# feature and correspondence cells: past this bound, squares and products of
-# them in matching and calibration could overflow
+# feature, correspondence and skeleton cells: past this bound, squares and
+# products of them in matching, calibration and the alpha fit could overflow
 _BOUNDED = (slice(None), lambda v: abs(v) <= _MAX_COORD, "a number within [-1e100, 1e100]")
 
 
@@ -62,11 +62,16 @@ def _write_csv_and_json(base_path, header, rows, doc):
     return csv_path, json_path
 
 
-def _parse_int(cell: str, line: int, column: int) -> int:
+def _parse_count(cell: str, line: int, column: int) -> int:
+    """``cell`` as a non-negative integer, or ParseError at its position."""
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError as exc:
         raise ParseError(f"expected an integer, got {cell!r}", line=line, column=column) from exc
+    if value < 0:
+        msg = f"expected a non-negative integer, got {cell!r}"
+        raise ParseError(msg, line=line, column=column)
+    return value
 
 
 def _finite(cell: str, line: int, column: int) -> float:
@@ -80,23 +85,21 @@ def _finite(cell: str, line: int, column: int) -> float:
     return value
 
 
-def _matrix(rows, width: int, lines, rule=None) -> np.ndarray:
+def _matrix(rows, width: int, lines, *rules) -> np.ndarray:
     """The CSV body ``rows``, which start on file ``lines``, as a
     (len(rows), width) matrix of finite floats.
 
-    ``rule`` is None or (columns, accepts, what): the cells of ``columns`` must
+    Each of ``rules`` is (columns, accepts, what): the cells of ``columns`` must
     also pass ``accepts``, the elementwise test of the object built from them. The
     whole body converts in one pass; only when that fails are the rows walked
     in file order to raise ParseError at the first bad line and column.
     """
-    columns, accepts, what = rule or (slice(0), None, "")
-    checked = range(width)[columns]
     try:
         values = np.array(rows, dtype=float).reshape(len(rows), width)
     except ValueError:  # a row of another width, or a cell float() rejects
         values = None
     if values is not None and np.isfinite(values).all():
-        if not checked or accepts(values[:, columns]).all():
+        if all(accepts(values[:, columns]).all() for columns, accepts, _ in rules):
             return values
     for line, row in zip(lines, rows):
         if len(row) != width:
@@ -104,8 +107,10 @@ def _matrix(rows, width: int, lines, rule=None) -> np.ndarray:
             raise ParseError(msg, line=line, column=len(row) + 1)
         for column, cell in enumerate(row, start=1):
             value = _finite(cell, line, column)
-            if column - 1 in checked and not accepts(value):
-                raise ParseError(f"expected {what}, got {cell!r}", line=line, column=column)
+            for columns, accepts, what in rules:
+                if column - 1 in range(width)[columns] and not accepts(value):
+                    msg = f"expected {what}, got {cell!r}"
+                    raise ParseError(msg, line=line, column=column)
     raise AssertionError("the one-pass conversion rejected cells that float() accepts")
 
 
@@ -335,14 +340,14 @@ def read_detections_csv(path):
             geom = Point2(*vals) if len(vals) == 2 else Polygon(list(zip(vals[0::2], vals[1::2])))
         except ValueError as exc:
             raise ParseError(f"invalid polygon: {exc}", line=ln, column=geom_at + 1) from exc
-        class_id = _parse_int(row[1], ln, 2)
+        class_id = _parse_count(row[1], ln, 2)
         score = _finite(row[score_at], ln, score_at + 1) if score_at is not None else 1.0
         if not 0.0 <= score <= 1.0:
             msg = f"expected a score in [0, 1], got {row[score_at]!r}"
             raise ParseError(msg, line=ln, column=score_at + 1)
         agreement = None
         if agreement_at is not None and row[agreement_at] != "":
-            agreement = _parse_int(row[agreement_at], ln, agreement_at + 1)
+            agreement = _parse_count(row[agreement_at], ln, agreement_at + 1)
         out.append({"image_id": row[0], "class_id": class_id, "score": score,
                     "agreement": agreement, "geom": geom})
     return out
@@ -431,6 +436,7 @@ def _scenario_node(nd, where: str, folder: Path) -> NodeSpec:
         ok = isinstance(fr, dict) and type(fr.get("frame_id")) in (str, int)
         ok = ok and isinstance(fr.get("detections", []), list)
         _json_check(ok, f"{at} needs a string or integer 'frame_id' and a 'detections' list")
+        _json_check(fr["frame_id"] not in frames, f"{at} repeats frame_id {fr['frame_id']!r}")
         frames[fr["frame_id"]] = [
             _scenario_detection(d, f"{at} detection #{didx}")
             for didx, d in enumerate(fr.get("detections", []))
@@ -466,13 +472,16 @@ def _ground_truth(gt) -> GroundTruth:
         _json_entry(fr, ("frame_id", "global_count"), where)
         ok = type(fr["frame_id"]) in (str, int) and type(fr["global_count"]) is int
         _json_check(ok, f"{where} needs a string or integer 'frame_id', integer 'global_count'")
+        _json_check(fr["frame_id"] not in counts, f"{where} repeats frame_id {fr['frame_id']!r}")
         counts[fr["frame_id"]] = fr["global_count"]
     for idx, h in enumerate(homographies):
         where = f"ground_truth homography #{idx}"
         _json_entry(h, ("src", "dst", "matrix"), where)
         ok = type(h["src"]) is int and type(h["dst"]) is int
         _json_check(ok, f"{where} needs integer 'src' and 'dst'")
-        truth[(h["src"], h["dst"])] = _json_homography(h["matrix"], where)
+        pair = (h["src"], h["dst"])
+        _json_check(pair not in truth, f"{where} repeats (src, dst) {pair}")
+        truth[pair] = _json_homography(h["matrix"], where)
     return GroundTruth(global_counts=counts, homographies=truth)
 
 
@@ -487,6 +496,9 @@ def read_scenario_json(path) -> Scenario:
         frames = list(dict.fromkeys(f for node in nodes for f in node.frames))
     ok = isinstance(frames, list) and all(type(f) in (str, int) for f in frames)
     _json_check(ok, "scenario 'frames' must be a list of string or integer frame ids")
+    first = {}
+    for idx, f in enumerate(frames):
+        _json_check(first.setdefault(f, idx) == idx, f"scenario 'frames' #{idx} repeats {f!r}")
     try:
         return Scenario(nodes=nodes, frames=frames, ground_truth=ground_truth)
     except ValueError as exc:
@@ -533,7 +545,9 @@ def read_samples_csv(path):
     header, body, lines = _csv_body(
         path, "sample", "agreement,f0,...", lambda h: h[:1] == ["agreement"] and len(h) > 1
     )
-    rule = (slice(0, 1), lambda v: (v >= 0.0) & (v == np.floor(v)), "a non-negative integer")
+    # up to 2**53, where floats still hold every integer, so int64 takes each one
+    rule = (slice(0, 1), lambda v: (v >= 0.0) & (v <= 2.0**53) & (v == np.floor(v)),
+            "a non-negative integer up to 2**53")
     values = _matrix(body, len(header), lines, rule)
     return [AgreementSample(f, int(a)) for a, f in zip(values[:, 0].tolist(), values[:, 1:])]
 
@@ -551,8 +565,10 @@ def read_skeleton_csv(path):
         path, "skeleton", "h_s,w_s,z[,h_m]",
         lambda h: h in (["h_s", "w_s", "z"], ["h_s", "w_s", "z", "h_m"]),
     )
-    rule = (slice(0, 3), lambda v: v > 0.0, "a positive number")
-    values = _matrix(body, len(header), lines, rule)
+    # 1e-100 <= h_s, w_s, z and every cell within 1e100: alpha / z, 1 / z**2 and the
+    # fit's squared residuals stay finite
+    rule = (slice(0, 3), lambda v: v >= 1.0 / _MAX_COORD, "a positive number of at least 1e-100")
+    values = _matrix(body, len(header), lines, _BOUNDED, rule)
     boxes = [SkeletonBox(h_s, w_s, z) for h_s, w_s, z in values[:, :3].tolist()]
     return boxes, (values[:, 3].tolist() if len(header) == 4 else None)
 

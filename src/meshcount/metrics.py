@@ -135,16 +135,17 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 
 
-def _ssim_weights() -> np.ndarray:
+def _ssim_kernel() -> np.ndarray:
+    """The normalised 1-D Gaussian; its outer product is the 2-D window."""
     half = _SSIM_WINDOW // 2
-    ax = np.arange(-half, half + 1, dtype=float)
-    g = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * _SSIM_SIGMA**2))
+    g = np.exp(-np.arange(-half, half + 1, dtype=float) ** 2 / (2.0 * _SSIM_SIGMA**2))
     return g / g.sum()
 
 
-def _windowed_mean(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(x, (_SSIM_WINDOW, _SSIM_WINDOW))
-    return np.einsum("ijkl,kl->ij", view, w)
+def _windowed_mean(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of every full window: one pass per axis."""
+    rows = np.lib.stride_tricks.sliding_window_view(x, _SSIM_WINDOW, axis=0) @ g
+    return np.lib.stride_tricks.sliding_window_view(rows, _SSIM_WINDOW, axis=1) @ g
 
 
 def ssim(a: DensityMap, b: DensityMap) -> float:
@@ -163,12 +164,12 @@ def ssim(a: DensityMap, b: DensityMap) -> float:
         rng = 1.0
     c1 = (0.01 * rng) ** 2
     c2 = (0.03 * rng) ** 2
-    w = _ssim_weights()
-    mu_x = _windowed_mean(x, w)
-    mu_y = _windowed_mean(y, w)
-    var_x = _windowed_mean(x * x, w) - mu_x * mu_x
-    var_y = _windowed_mean(y * y, w) - mu_y * mu_y
-    cov = _windowed_mean(x * y, w) - mu_x * mu_y
+    g = _ssim_kernel()
+    mu_x = _windowed_mean(x, g)
+    mu_y = _windowed_mean(y, g)
+    var_x = _windowed_mean(x * x, g) - mu_x * mu_x
+    var_y = _windowed_mean(y * y, g) - mu_y * mu_y
+    cov = _windowed_mean(x * y, g) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))

@@ -42,7 +42,7 @@ class NodeSpec:
     frames: dict = field(default_factory=dict)  # frame_id -> list[Detection]
 
     def __post_init__(self):
-        self.neighbors = tuple(sorted(self.neighbors))
+        self.neighbors = tuple(sorted(set(self.neighbors)))  # a repeated id names one pair
         if self.node_id in self.neighbors:
             raise ValueError(f"node {self.node_id} lists itself as a neighbor")
         if self.width < 1 or self.height < 1:
@@ -62,10 +62,9 @@ class Scenario:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self):
-        ids = [n.node_id for n in self.nodes]
-        if len(ids) != len(set(ids)):
-            raise ValueError("node ids must be unique")
         by_id = {n.node_id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
+            raise ValueError("node ids must be unique")
         for n in self.nodes:
             for j in n.neighbors:
                 if j not in by_id:
@@ -74,14 +73,15 @@ class Scenario:
                     raise ValueError(
                         f"asymmetric neighbor lists between {n.node_id} and {j}"
                     )
+        self.nodes = sorted(self.nodes, key=lambda n: n.node_id)  # checked as given, kept by id
+        self._by_id = by_id
 
     def node(self, node_id) -> NodeSpec:
-        return next(n for n in self.nodes if n.node_id == node_id)
+        return self._by_id[node_id]
 
     def neighbor_pairs(self):
-        """Unordered overlapping pairs (i, j) with i < j, sorted, each once even
-        when a neighbor list repeats an id."""
-        return sorted({(n.node_id, j) for n in self.nodes for j in n.neighbors if n.node_id < j})
+        """Unordered overlapping pairs (i, j) with i < j, in sorted order, each once."""
+        return [(n.node_id, j) for n in self.nodes for j in n.neighbors if n.node_id < j]
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class Simulator:
         without consensus raises CalibrationFailed(receiver, sender).
         """
         homographies = {}
-        for sender in sorted(self.scenario.nodes, key=lambda n: n.node_id):
+        for sender in self.scenario.nodes:
             for j in sender.neighbors:
                 receiver = self.scenario.node(j)
                 try:
@@ -255,11 +255,10 @@ class Simulator:
         entry, both in their final JSON-ready form."""
         if self.homographies is None:
             raise RuntimeError("initialize() must run before compute rounds")
-        nodes = {n.node_id: n for n in sorted(self.scenario.nodes, key=lambda n: n.node_id)}
-        detections = {node_id: n.frames.get(frame_id, []) for node_id, n in nodes.items()}
+        detections = {n.node_id: n.frames.get(frame_id, []) for n in self.scenario.nodes}
         pairs = []
         for i, j in self.scenario.neighbor_pairs():
-            ni, nj = nodes[i], nodes[j]
+            ni, nj = self.scenario.node(i), self.scenario.node(j)
             # ij: masks of i judged on plane j; ji: masks of j judged on plane i
             ij = compute_mu_outcome(detections[j], detections[i], self.homographies[(i, j)],
                                     self.config.tau, (nj.width, nj.height))

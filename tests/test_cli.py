@@ -370,6 +370,49 @@ class TestMalformedScenario:
         want = "node #0 frame #0 needs a string or integer 'frame_id' and a 'detections' list"
         assert want in err
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            pytest.param(lambda doc: doc["frames"].append("frame-000"),
+                         "scenario 'frames' #1 repeats 'frame-000'", id="frames"),
+            pytest.param(lambda doc: doc["nodes"][1]["frames"].append(
+                             {"frame_id": "frame-000", "detections": []}),
+                         "node #1 frame #1 repeats frame_id 'frame-000'", id="node-frame"),
+            pytest.param(lambda doc: doc["ground_truth"]["frames"].append(
+                             {"frame_id": "frame-000", "global_count": 99}),
+                         "ground_truth frame #1 repeats frame_id 'frame-000'", id="truth-frame"),
+            pytest.param(lambda doc: doc["ground_truth"]["homographies"].append(
+                             doc["ground_truth"]["homographies"][0]),
+                         "ground_truth homography #2 repeats (src, dst) (0, 1)",
+                         id="truth-homography"),
+        ],
+    )
+    def test_repeated_id(self, tmp_path, capsys, edit, where):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "2", "--seed", "1", "--frames", "1",
+                     "--out", str(scene)]) == 0
+        doc = json.loads(scene.read_text())
+        edit(doc)
+        scene.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert where in err
+
+    def test_repeated_neighbor_id_is_accepted(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        assert main(["gen-scene", "--cameras", "2", "--seed", "1", "--frames", "1",
+                     "--out", str(scene)]) == 0
+        assert main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "a.csv")]) == 0
+        doc = json.loads(scene.read_text())
+        doc["nodes"][0]["neighbors"] = [1, 1, 1]
+        scene.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scene), "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
 
 class TestDensityCommand:
     def test_density_and_peaks(self, tmp_path, capsys):
@@ -385,6 +428,33 @@ class TestDensityCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("dots=2 integral=2.0")
         assert len([l for l in lines if l.startswith("peak,")]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "sigma, reason",
+        [
+            pytest.param("1e-320", "resolved to zero", id="square-underflows"),
+            pytest.param("0.01", "covers no pixel", id="between-pixel-centres"),
+        ],
+    )
+    def test_bandwidth_too_small_for_any_pixel(self, tmp_path, capsys, sigma, reason):
+        dots = tmp_path / "dots.csv"
+        dots.write_text(f"x,y,sigma\n4.0,5.0,1.5\n8.5,9.5,{sigma}\n")
+        rc = main(["density", "--dots", str(dots), "--width", "16", "--height", "16",
+                   "--out", str(tmp_path / "m.dmf")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert reason in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bandwidth_past_the_map_spreads_over_all_of_it(self, tmp_path, capsys):
+        dots = tmp_path / "dots.csv"
+        dots.write_text("x,y,sigma\n4.0,5.0,1e308\n")
+        rc = main(["density", "--dots", str(dots), "--width", "8", "--height", "8",
+                   "--out", str(tmp_path / "m.dmf")])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        values = io.read_density_dmf(tmp_path / "m.dmf").values
+        assert np.all(values == values[0, 0]) and values.sum() == pytest.approx(1.0)
 
     def test_requires_some_bandwidth(self, tmp_path):
         dots = tmp_path / "dots.csv"
@@ -558,6 +628,8 @@ class TestMalformedRescoreInputs:
             pytest.param("2,0.5,nan", "line 3, column 3", id="nan-feature"),
             pytest.param("2,inf,0.5", "line 3, column 2", id="inf-feature"),
             pytest.param("-1,0.5,0.5", "line 3, column 1", id="negative-agreement"),
+            pytest.param("99999999999999999999999,0.5,0.5", "line 3, column 1",
+                         id="agreement-beyond-2-53"),
             pytest.param("2,0.5,x", "line 3, column 3", id="non-numeric"),
         ],
     )
@@ -567,6 +639,20 @@ class TestMalformedRescoreInputs:
         err = self.run(capsys, ["rescore-train", "--samples", str(samples),
                                 "--out", str(tmp_path / "m.json")])
         assert where in err
+
+    @pytest.mark.parametrize("agreement, rc", [("9007199254740992", 0), ("1e300", 1)])
+    def test_rescore_eval_agreement_bound(self, tmp_path, capsys, agreement, rc):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"agreement,f0,f1\n1,0.25,0.5\n{agreement},0.5,0.25\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"head": "scalar", "weights": [1.0, 2.0], "bias": 0.0}))
+        argv = ["rescore-eval", "--samples", str(samples), "--model", str(model),
+                "--out", str(tmp_path / "e.csv")]
+        if rc == 0:
+            assert main(argv) == 0
+        else:
+            err = self.run(capsys, argv)
+            assert "line 3, column 1" in err and "2**53" in err
 
     @pytest.mark.parametrize(
         "doc, reason",
@@ -641,6 +727,8 @@ class TestMalformedNumericCells:
         [
             pytest.param("100.0,inf,10.0", "line 3, column 2", id="inf-width"),
             pytest.param("100.0,40.0,0.0", "line 3, column 3", id="zero-distance"),
+            pytest.param("100.0,40.0,1e-320", "line 3, column 3", id="subnormal-distance"),
+            pytest.param("1e200,40.0,10.0", "line 3, column 1", id="huge-height"),
         ],
     )
     def test_skeleton_cell(self, tmp_path, capsys, row, where):
@@ -649,6 +737,21 @@ class TestMalformedNumericCells:
         out = tmp_path / "out.csv"
         self.run(capsys, ["sanitize-bboxes", "--in", str(boxes), "--alpha", "1.2",
                           "--out", str(out)], where)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            pytest.param("80.0,32.0,1e-320,125.0", "line 3, column 3", id="subnormal-distance"),
+            pytest.param("80.0,32.0,20.0,1e200", "line 3, column 4", id="huge-measured-height"),
+        ],
+    )
+    def test_skeleton_cell_before_the_alpha_fit(self, tmp_path, capsys, row, where):
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text(f"h_s,w_s,z,h_m\n100.0,40.0,10.0,190.0\n{row}\n")
+        out = tmp_path / "out.csv"
+        self.run(capsys, ["sanitize-bboxes", "--in", str(boxes), "--out", str(out)], where)
         assert not out.exists()
 
     def test_nan_position(self, tmp_path, capsys):
@@ -677,6 +780,31 @@ class TestMalformedNumericCells:
         self.run(capsys, [*command, "--pred", str(tmp_path / "p.csv"), "--gt",
                           str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")],
                  "line 2, column 3")
+
+    @pytest.mark.parametrize(
+        "command", [["eval-detect", "--mode", "point"], ["eval-count"]], ids=["detect", "count"]
+    )
+    def test_negative_class_id(self, tmp_path, capsys, command):
+        (tmp_path / "p.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\nimg,-1,3.0,4.0\n")
+        (tmp_path / "g.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        err = self.run(capsys, [*command, "--pred", str(tmp_path / "p.csv"), "--gt",
+                                str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")],
+                       "line 3, column 2")
+        assert "non-negative integer" in err
+
+    @pytest.mark.parametrize(
+        "command", [["eval-detect", "--mode", "point"], ["eval-count", "--min-agreement", "1"]],
+        ids=["detect", "count"],
+    )
+    def test_negative_agreement(self, tmp_path, capsys, command):
+        (tmp_path / "p.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0\n")
+        (tmp_path / "g.csv").write_text(
+            "image_id,class_id,agreement,geom\nimg,0,7,1.0,2.0\nimg,0,-3,3.0,4.0\n"
+        )
+        err = self.run(capsys, [*command, "--pred", str(tmp_path / "p.csv"), "--gt",
+                                str(tmp_path / "g.csv"), "--out", str(tmp_path / "m.csv")],
+                       "line 3, column 3")
+        assert "non-negative integer" in err
 
     def test_geometry_column_after_an_empty_cell(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("image_id,class_id,geom\nimg,0,1.0,2.0,,x,3.0\n")

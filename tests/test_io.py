@@ -342,7 +342,9 @@ class TestCsvRoundTrips:
         assert [r[:2] + r[3:4] for r in back] == [r[:2] + r[3:4] for r in rows]
 
     def test_skeleton_values_reach_the_sanitized_file(self, tmp_path):
-        v = np.abs(tricky_floats(8, 38)[2:]).reshape(9, 4)  # skip the zeros
+        # cells the reader accepts: h_s, w_s and z within [1e-100, 1e100], h_m within 1e100
+        t = np.abs(tricky_floats(8, 400))
+        v = np.concatenate([[1e-100, 1e100], t[(t >= 1e-100) & (t <= 1e100)]])[:36].reshape(9, 4)
         path = tmp_path / "s.csv"
         body = "".join(",".join(map(repr, r)) + "\n" for r in v.tolist())
         path.write_text("h_s,w_s,z,h_m\n" + body)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshcount import metrics
 from meshcount.density import DensityMap
 from meshcount.errors import EmptyInput, ShapeMismatch, TooSmall, ZeroGroundTruth
 from meshcount.geometry import Point2, Polygon
@@ -141,7 +142,33 @@ def ssim_oracle(a, b):
     return float(np.mean(vals))
 
 
+def ssim_weights_2d():
+    """The 11x11 Gaussian window, normalised as a whole."""
+    ax = np.arange(-5, 6, dtype=float)
+    g = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * 1.5**2))
+    return g / g.sum()
+
+
+def windowed_mean_2d(x):
+    """Every full window's weighted mean as one 2-D contraction."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (11, 11))
+    return np.einsum("ijkl,kl->ij", view, ssim_weights_2d())
+
+
 class TestSsim:
+    def test_kernel_outer_product_is_the_2d_window(self):
+        g = metrics._ssim_kernel()
+        assert np.abs(np.outer(g, g) - ssim_weights_2d()).max() <= 1e-17
+
+    def test_separable_windowed_mean_matches_2d_contraction(self):
+        rng = np.random.default_rng(21)
+        g = metrics._ssim_kernel()
+        for x in (rng.uniform(0, 1, (256, 256)), rng.uniform(0, 5, (256, 256)) ** 2,
+                  rng.uniform(0, 1, (11, 30))):
+            fast, slow = metrics._windowed_mean(x, g), windowed_mean_2d(x)
+            assert fast.shape == slow.shape
+            assert np.abs(fast - slow).max() <= 1e-15 * max(1.0, np.abs(x).max())
+
     def test_identical_maps(self):
         rng = np.random.default_rng(5)
         m = DensityMap(rng.uniform(0, 3, (20, 20)))

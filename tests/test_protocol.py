@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshcount import synth
+from meshcount import protocol, synth
 from meshcount.errors import CalibrationFailed, InfeasibleOverlap, PointAtInfinity
 from meshcount.geometry import (
     Correspondence,
@@ -482,6 +482,30 @@ class TestRunScenario:
         assert report.frames[0]["ours_raw"] == pytest.approx(4.0)
         assert report.frames == run_scenario(plain, ProtocolConfig()).frames
 
+    def test_repeated_neighbor_ids_calibrate_each_directed_pair_once(self, monkeypatch):
+        spec = SyntheticSceneSpec(n_cameras=3, n_vehicles=12, overlap=0.4, n_frames=2, seed=3)
+        plain = generate_scene(spec)
+        n0, n1, n2 = plain.nodes
+        repeated = Scenario(
+            nodes=[replace(n0, neighbors=(1, 1)), replace(n1, neighbors=(0, 2, 0, 2)), n2],
+            frames=plain.frames,
+            ground_truth=plain.ground_truth,
+        )
+        calls = []
+        real = protocol._pairwise_homography
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_pairwise_homography", counted)
+        report = run_scenario(repeated, ProtocolConfig())
+        assert len(calls) == 4  # 0 -> 1, 1 -> 0, 1 -> 2, 2 -> 1
+        assert [n.neighbors for n in repeated.nodes] == [(1,), (0, 2), (1,)]
+        expected = run_scenario(plain, ProtocolConfig())
+        assert report.frames == expected.frames
+        assert report.diagnostics == expected.diagnostics
+
     def test_summary_mirrors_rows(self):
         spec = SyntheticSceneSpec(n_cameras=2, n_vehicles=10, overlap=0.5, n_frames=3, seed=7)
         report = run_scenario(generate_scene(spec), ProtocolConfig())
@@ -502,6 +526,14 @@ class TestScenarioValidation:
         n0 = NodeSpec(0, (), 32, 32, [], {})
         with pytest.raises(ValueError):
             Scenario(nodes=[n0, NodeSpec(0, (), 32, 32, [], {})], frames=[])
+
+    def test_nodes_kept_in_id_order_and_looked_up_by_id(self):
+        n0, n1, n2 = (NodeSpec(i, (), 32, 32, [], {}) for i in range(3))
+        scenario = Scenario(nodes=[n2, n0, n1], frames=[])
+        assert [n.node_id for n in scenario.nodes] == [0, 1, 2]
+        assert scenario.node(2) is n2
+        with pytest.raises(KeyError):
+            scenario.node(3)
 
     def test_self_neighbor_rejected(self):
         with pytest.raises(ValueError):
