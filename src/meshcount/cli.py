@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -41,9 +42,9 @@ from .metrics import (
     precision_recall_f1,
     rmse,
 )
-from .protocol import ProtocolConfig, _pairwise_homography, run_scenario
-from .rescoring import TrainConfig, pearson_r, score_batch, train
-from .synth import SyntheticSceneSpec, generate_scene
+from .protocol import AGGREGATIONS, ProtocolConfig, _pairwise_homography, run_scenario
+from .rescoring import METHODS, TrainConfig, pearson_r, score_batch, train
+from .synth import WARP_FAMILIES, SyntheticSceneSpec, generate_scene
 
 log = logging.getLogger("meshcount")
 
@@ -59,21 +60,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _float_type(rule: str, ok):
+    """An argparse type for float options: refuses what ``ok`` does not accept."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {rule}")
+        return value
+    return parse
+
+
+# NaN is never a setting; +inf is one only where it means "no bound"
+_FINITE = _float_type("a finite number", math.isfinite)
+_BOUND = _float_type("a finite number or inf (no bound)",
+                     lambda v: math.isfinite(v) or v == math.inf)
+_POSITIVE = _float_type("positive and finite", lambda v: math.isfinite(v) and v > 0)
+
+
 def _ransac_args(parser):
-    parser.add_argument("--ratio", type=float, default=0.75, help="Lowe ratio test value")
-    parser.add_argument("--max-dist", type=float, default=None,
-                        help="absolute match distance cutoff (default: 2x median)")
-    parser.add_argument("--threshold", type=float, default=3.0,
+    parser.add_argument("--ratio", type=_FINITE, default=0.75, help="Lowe ratio test value")
+    parser.add_argument("--max-dist", type=_BOUND, default=None,
+                        help="absolute match distance cutoff (default: 2x median; inf: no cutoff)")
+    parser.add_argument("--threshold", type=_FINITE, default=3.0,
                         help="RANSAC inlier threshold in px")
     parser.add_argument("--max-iter", type=int, default=2000)
-    parser.add_argument("--confidence", type=float, default=0.995)
+    parser.add_argument("--confidence", type=_FINITE, default=0.995)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="meshcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", parents=[], help="estimate a homography from features or correspondences")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("calibrate", _cmd_calibrate,
+                "estimate a homography from features or correspondences")
     p.add_argument("--features-a", help="source feature CSV")
     p.add_argument("--features-b", help="target feature CSV")
     p.add_argument("--correspondences", help="pre-matched correspondence CSV")
@@ -81,43 +108,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="homography JSON path")
 
-    p = sub.add_parser("simulate", help="run the multi-camera counting protocol on a scenario")
+    p = command("simulate", _cmd_simulate, "run the multi-camera counting protocol on a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tau", type=float, default=0.2, help="IoU duplicate threshold")
-    p.add_argument("--agg", choices=("min", "max", "mean"), default="mean")
+    p.add_argument("--tau", type=_FINITE, default=0.2, help="IoU duplicate threshold")
+    p.add_argument("--agg", choices=AGGREGATIONS, default="mean")
     _ransac_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report CSV path (JSON twin written next to it)")
 
-    p = sub.add_parser("gen-scene", help="generate a synthetic scenario with exact ground truth")
+    p = command("gen-scene", _cmd_gen_scene,
+                "generate a synthetic scenario with exact ground truth")
     p.add_argument("--cameras", type=int, default=2)
     p.add_argument("--vehicles", type=int, default=12)
-    p.add_argument("--overlap", type=float, default=0.4)
-    p.add_argument("--warp", choices=("translation", "affine", "projective"), default="translation")
+    p.add_argument("--overlap", type=_FINITE, default=0.4)
+    p.add_argument("--warp", choices=WARP_FAMILIES, default="translation")
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--spurious", type=float, default=0.0)
+    p.add_argument("--drop", type=_FINITE, default=0.0)
+    p.add_argument("--jitter", type=_FINITE, default=0.0)
+    p.add_argument("--spurious", type=_FINITE, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="scenario JSON path")
 
-    p = sub.add_parser("density", help="build a density map from dot annotations")
+    p = command("density", _cmd_density, "build a density map from dot annotations")
     p.add_argument("--dots", required=True, help="dot CSV with header x,y[,sigma]")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--sigma", type=float, help="fixed Gaussian bandwidth")
+    p.add_argument("--sigma", type=_FINITE, help="fixed Gaussian bandwidth")
     p.add_argument("--knn-k", type=int, help="neighbor count for adaptive bandwidths")
-    p.add_argument("--knn-beta", type=float, help="bandwidth scale for the knn mode")
+    p.add_argument("--knn-beta", type=_FINITE, help="bandwidth scale for the knn mode")
     p.add_argument("--peaks", type=int, help="also report the top-n local peaks")
     p.add_argument("--min-distance", type=int, default=3)
-    p.add_argument("--min-value", type=float, default=0.0)
+    p.add_argument("--min-value", type=_FINITE, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="DMF1 raster path")
     p.add_argument("--csv-out", help="optional lossless CSV export")
 
-    p = sub.add_parser("eval-count", help="counting metrics from point predictions vs ground truth")
+    p = command("eval-count", _cmd_eval_count,
+                "counting metrics from point predictions vs ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--game", type=int, default=None, help="also compute GAME at this level")
@@ -125,51 +154,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, help="image height (needed for GAME)")
     p.add_argument("--min-agreement", type=int, default=None)
     p.add_argument("--k", type=int, default=7, help="number of raters")
-    p.add_argument("--score-threshold", type=float, default=0.0)
+    p.add_argument("--score-threshold", type=_FINITE, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval-detect", help="detection metrics: precision, recall, F1, AP")
+    p = command("eval-detect", _cmd_eval_detect, "detection metrics: precision, recall, F1, AP")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--mode", choices=("box", "point"), default="box")
-    p.add_argument("--iou-threshold", type=float, default=0.5)
-    p.add_argument("--radius", type=float, default=5.0, help="gating radius for point mode")
+    p.add_argument("--iou-threshold", type=_FINITE, default=0.5)
+    p.add_argument("--radius", type=_FINITE, default=5.0, help="gating radius for point mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("rescore-train", help="train an objectness scorer on agreement samples")
+    p = command("rescore-train", _cmd_rescore_train,
+                "train an objectness scorer on agreement samples")
     p.add_argument("--samples", required=True)
-    p.add_argument("--method", choices=("AR", "AC", "OR", "RL"), default="OR")
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--method", choices=METHODS, default="OR")
+    p.add_argument("--lr", type=_FINITE, default=0.05)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", type=_FINITE, default=0.1)
     p.add_argument("--k", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--trace", help="optional loss-trace CSV path")
 
-    p = sub.add_parser("rescore-eval", help="correlate scorer output with rater agreement")
+    p = command("rescore-eval", _cmd_rescore_eval, "correlate scorer output with rater agreement")
     p.add_argument("--samples", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_FINITE, default=None,
                    help="also report how many samples pass this score")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sanitize-bboxes", help="pad skeleton boxes and prune far objects")
+    p = command("sanitize-bboxes", _cmd_sanitize_bboxes, "pad skeleton boxes and prune far objects")
     p.add_argument("--in", dest="infile", required=True, help="CSV h_s,w_s,z[,h_m]")
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_POSITIVE, default=None,
                    help="padding parameter; fitted from the h_m column when omitted")
-    p.add_argument("--max-z", type=float, default=40.0)
+    p.add_argument("--max-z", type=_BOUND, default=40.0,
+                   help="drop boxes farther than this depth (inf: no bound)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("distance-check", help="find physical-distance violations")
+    p = command("distance-check", _cmd_distance_check, "find physical-distance violations")
     p.add_argument("--positions", required=True, help="CSV x,y (pixels or meters)")
     p.add_argument("--homography", help="pixel-to-ground homography JSON")
-    p.add_argument("--threshold", type=float, default=1.0, help="violation distance in meters")
+    p.add_argument("--threshold", type=_FINITE, default=1.0, help="violation distance in meters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -195,9 +226,8 @@ def _cmd_calibrate(args) -> int:
             return 1
         fa = io.read_features_csv(args.features_a)
         fb = io.read_features_csv(args.features_b)
-        config = ProtocolConfig(ransac=_ransac_params(args), ratio=args.ratio,
-                                max_dist=args.max_dist)
-        h, corrs, mask = _pairwise_homography(fa, fb, config)
+        h, corrs, mask = _pairwise_homography(fa, fb, args.ratio, args.max_dist,
+                                              _ransac_params(args))
     io.write_homography_json(args.out, h)
     inliers = [c for c, keep in zip(corrs, mask) if keep]
     err = symmetric_transfer_error(h, inliers)
@@ -309,6 +339,10 @@ def _cmd_eval_count(args) -> int:
     pairs = []
     for kept, g_rows in groups:
         if args.min_agreement is not None:
+            for r in g_rows:
+                if r["agreement"] is not None and r["agreement"] > args.k:
+                    raise ValueError(f"--gt {args.gt}: image {r['image_id']!r} has agreement "
+                                     f"{r['agreement']}, above --k {args.k}")
             # rows without an agreement column count as agreed by everyone
             agreements = [r["agreement"] if r["agreement"] is not None else args.k
                           for r in g_rows]
@@ -422,20 +456,6 @@ def _cmd_distance_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "calibrate": _cmd_calibrate,
-    "simulate": _cmd_simulate,
-    "gen-scene": _cmd_gen_scene,
-    "density": _cmd_density,
-    "eval-count": _cmd_eval_count,
-    "eval-detect": _cmd_eval_detect,
-    "rescore-train": _cmd_rescore_train,
-    "rescore-eval": _cmd_rescore_eval,
-    "sanitize-bboxes": _cmd_sanitize_bboxes,
-    "distance-check": _cmd_distance_check,
-}
-
-
 def main(argv=None) -> int:
     level = _LOG_LEVELS.get(os.environ.get("MESHCOUNT_LOG", "warn"), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
@@ -452,7 +472,7 @@ def main(argv=None) -> int:
             return 1
     started = time.perf_counter()
     try:
-        rc = _COMMANDS[args.command](args)
+        rc = args.run(args)
     except (ParseError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"meshcount {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfBounds, ShapeMismatch, SigmaZero, TooFewDots
-from .geometry import Point2, Polygon
+from .geometry import Point2, Polygon, _pairwise_distances
 
 PROB_EPS = 1e-7  # probabilities are clamped before logs
 
@@ -117,8 +117,7 @@ def knn_sigmas(dots: DotAnnotation, k: int, beta: float):
     if n <= k:
         raise TooFewDots(f"need more than k={k} dots, got {n}")
     pts = np.array([[p.x, p.y] for p in dots.points])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = _pairwise_distances(pts, pts)
     np.fill_diagonal(dist, np.inf)
     part = np.partition(dist, k - 1, axis=1)[:, :k]
     return [float(beta * row.mean()) for row in part]

@@ -522,6 +522,29 @@ def ground_distance(h_ground: Homography, a: Point2, b: Point2) -> float:
     return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
 
+def _pairwise_distances(a, b):
+    """(n, m) Euclidean distances between the rows of ``a`` and ``b``; +inf on overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def _components(n: int, edges):
+    """Union-find components of 0..n-1 joined by ``edges``; each sorted, by smallest member."""
+    parent = list(range(n))
+
+    def root(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]  # path halving
+        return k
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    groups = {}
+    for k in range(n):
+        groups.setdefault(root(k), []).append(k)
+    return list(groups.values())
+
+
 def distance_violations(positions, threshold: float):
     """Connected groups of points closer than ``threshold`` (strictly).
 
@@ -530,31 +553,6 @@ def distance_violations(positions, threshold: float):
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    pts = np.array([[p.x, p.y] for p in positions], dtype=float)
-    n = pts.shape[0]
-    if n == 0:
-        return []
-    with np.errstate(over="ignore"):  # an overflowing distance is +inf: never violates
-        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    adj = dist < threshold
-    np.fill_diagonal(adj, False)
-
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            for m in np.nonzero(adj[k])[0]:
-                if not seen[m]:
-                    seen[m] = True
-                    stack.append(int(m))
-        if len(comp) >= 2:
-            groups.append(sorted(comp))
-    groups.sort(key=lambda g: g[0])
-    return groups
+    pts = np.array([[p.x, p.y] for p in positions], dtype=float).reshape(-1, 2)
+    close = np.argwhere(np.triu(_pairwise_distances(pts, pts) < threshold, 1))
+    return [g for g in _components(len(pts), close.tolist()) if len(g) >= 2]

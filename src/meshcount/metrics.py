@@ -12,7 +12,7 @@ import numpy as np
 
 from .density import DensityMap
 from .errors import EmptyInput, ShapeMismatch, TooSmall, ZeroGroundTruth
-from .geometry import Point2, Polygon, iou as polygon_iou
+from .geometry import Point2, Polygon, _pairwise_distances, iou as polygon_iou
 
 HUNGARIAN_SENTINEL = 1e18  # stands in for an infinite gating cost
 GATE_FACTOR = 1.25  # matches farther than this times the radius never pair
@@ -271,8 +271,7 @@ def _gated_distances(preds, gts, radius: float):
         raise ValueError("point matching needs Point2 ground-truth shapes")
     p = np.array([[d.shape.x, d.shape.y] for d in preds]).reshape(-1, 2)
     g = np.array([[q.x, q.y] for q in gts]).reshape(-1, 2)
-    with np.errstate(over="ignore"):  # an overflowing distance is +inf: never pairs
-        dist = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
+    dist = _pairwise_distances(p, g)  # an overflowing distance is +inf: never pairs
     return dist, dist > GATE_FACTOR * radius
 
 

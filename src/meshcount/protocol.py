@@ -102,16 +102,16 @@ class ProtocolConfig:
 # -- protocol operations -------------------------------------------------------
 
 
-def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
-    """Ratio test, distance filter (default: below twice the median match
-    distance, or exactly 0 when that median is 0), RANSAC; returns
-    (H, correspondences, inlier mask) or raises NoConsensus."""
+def _pairwise_homography(features_src, features_dst, ratio, max_dist, ransac: RansacParams):
+    """Ratio test, distance filter (below ``max_dist``, by default twice the
+    median match distance, or exactly 0 when that median is 0), RANSAC;
+    returns (H, correspondences, inlier mask) or raises NoConsensus."""
     if not (features_src and features_dst):
         raise NoConsensus("no features on one side")
-    matches = ratio_match(features_src, features_dst, config.ratio)
+    matches = ratio_match(features_src, features_dst, ratio)
     if matches:
-        if config.max_dist is not None:
-            matches = distance_filter(matches, config.max_dist)
+        if max_dist is not None:
+            matches = distance_filter(matches, max_dist)
         elif (cutoff := default_max_dist(matches)) > 0:
             matches = distance_filter(matches, cutoff)
         else:  # a zero median: at least half the matches are exact, keep those
@@ -119,7 +119,7 @@ def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
     if len(matches) < 4:
         raise NoConsensus(f"only {len(matches)} filtered matches")
     corrs = to_correspondences(features_src, features_dst, matches)
-    h, mask = ransac_homography(corrs, config.ransac)
+    h, mask = ransac_homography(corrs, ransac)
     return h, corrs, mask
 
 
@@ -127,6 +127,7 @@ def _pairwise_homography(features_src, features_dst, config: ProtocolConfig):
 class MuOutcome:
     mu: int
     skipped_projections: int  # masks whose projection degenerated
+    matches: tuple = ()  # (index in masks_j, index in masks_i) per duplicate, in j order
 
 
 def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_shape) -> MuOutcome:
@@ -134,17 +135,17 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
 
     Each mask from j is projected onto plane i; when its centroid lands
     inside the image and some mask of i overlaps it with IoU above tau, it
-    was already counted by i. Masks whose projection fails (one meeting
-    the vanishing line of ``h_ji``, or a degenerate image) are skipped and
-    tallied.
+    was already counted by i, and the first such mask of i, in index order,
+    is its match. Masks whose projection fails (one meeting the vanishing
+    line of ``h_ji``, or a degenerate image) are skipped and tallied.
     Only masks of i whose bounding box overlaps the projection's on both
     axes reach the exact IoU; any other pair has IoU 0, which tau > 0 never
     passes.
     """
     width, height = image_shape
     skipped = 0
-    candidates = []
-    for det in masks_j:
+    candidates = []  # (index in masks_j, projection)
+    for index, det in enumerate(masks_j):
         try:
             projected = project_polygon(h_ji, det.polygon)
         except (PointAtInfinity, ValueError):
@@ -152,18 +153,20 @@ def compute_mu_outcome(masks_i, masks_j, h_ji: Homography, tau: float, image_sha
             continue
         c = projected.centroid
         if 0.0 <= c.x < width and 0.0 <= c.y < height:
-            candidates.append(projected)
+            candidates.append((index, projected))
     mine = [m.polygon for m in masks_i]
-    a = np.array([p.bounds() for p in candidates]).reshape(-1, 1, 4)
+    a = np.array([p.bounds() for _, p in candidates]).reshape(-1, 1, 4)
     b = np.array([p.bounds() for p in mine]).reshape(1, -1, 4)
     # iou's own early-out, for every (candidate, mask of i) pair at once
     near = ((np.minimum(a[..., 2], b[..., 2]) > np.maximum(a[..., 0], b[..., 0]))
             & (np.minimum(a[..., 3], b[..., 3]) > np.maximum(a[..., 1], b[..., 1])))
-    mu = sum(
-        any(iou(projected, mine[k]) > tau for k in np.flatnonzero(row).tolist())
-        for projected, row in zip(candidates, near)
-    )
-    return MuOutcome(mu=mu, skipped_projections=skipped)
+    matches = []
+    for (index, projected), row in zip(candidates, near):
+        for k in np.flatnonzero(row).tolist():
+            if iou(projected, mine[k]) > tau:
+                matches.append((index, k))
+                break
+    return MuOutcome(mu=len(matches), skipped_projections=skipped, matches=tuple(matches))
 
 
 def aggregate(mu_ij: float, mu_ji: float, mode: str = "mean") -> float:
@@ -239,11 +242,12 @@ class Simulator:
         without consensus raises CalibrationFailed(receiver, sender).
         """
         homographies = {}
+        settings = (self.config.ratio, self.config.max_dist, self.config.ransac)
         for sender in self.scenario.nodes:
             for j in sender.neighbors:
                 receiver = self.scenario.node(j)
                 try:
-                    h, _, _ = _pairwise_homography(sender.features, receiver.features, self.config)
+                    h, _, _ = _pairwise_homography(sender.features, receiver.features, *settings)
                 except NoConsensus as exc:
                     raise CalibrationFailed(j, sender.node_id, str(exc)) from exc
                 homographies[(sender.node_id, j)] = h

@@ -30,7 +30,9 @@ DEFAULT_MARGIN = 0.1
 
 SCALAR = "scalar"
 CATEGORICAL = "categorical"
-METHODS = ("AR", "AC", "OR", "RL")
+# the head each method trains; OR's scalar head also carries thresholds
+_HEADS = {"AR": SCALAR, "AC": CATEGORICAL, "OR": SCALAR, "RL": SCALAR}
+METHODS = tuple(_HEADS)
 
 
 @dataclass(frozen=True)
@@ -291,34 +293,29 @@ def _rl_grad(model, X, tuples, margin):
     return dw, float(_ordered_sum(_ordered_sum(coeff, axis=1)))
 
 
-def _scalar_batch(model, batch, method: str):
-    if model.head != SCALAR:
-        raise HeadMismatch(f"{method} needs a scalar head")
+def _batch(model, batch, method: str):
+    if model.head != _HEADS[method] or (method == "OR" and model.thetas is None):
+        extra = " with thresholds" if method == "OR" else ""
+        raise HeadMismatch(f"{method} needs a {_HEADS[method]} head{extra}")
     return _stack(batch, model.dim)
 
 
 def loss_ar(model: ScorerModel, batch, k: int = DEFAULT_K) -> float:
     """Half the squared error against the normalized agreement, summed."""
-    return _ar_loss(model, *_scalar_batch(model, batch, "AR"), k)
+    return _ar_loss(model, *_batch(model, batch, "AR"), k)
 
 
 def grad_ar(model: ScorerModel, batch, k: int = DEFAULT_K):
-    return _ar_grad(model, *_scalar_batch(model, batch, "AR"), k)
-
-
-def _ac_batch(model, batch):
-    if model.head != CATEGORICAL:
-        raise HeadMismatch("AC needs a categorical head")
-    return _stack(batch, model.dim)
+    return _ar_grad(model, *_batch(model, batch, "AR"), k)
 
 
 def loss_ac(model: ScorerModel, batch) -> float:
     """Cross-entropy of the true agreement class, summed over the batch."""
-    return _ac_loss(model, *_ac_batch(model, batch))
+    return _ac_loss(model, *_batch(model, batch, "AC"))
 
 
 def grad_ac(model: ScorerModel, batch):
-    return _ac_grad(model, *_ac_batch(model, batch))
+    return _ac_grad(model, *_batch(model, batch, "AC"))
 
 
 def or_class_probs(s: float, thetas) -> np.ndarray:
@@ -333,23 +330,17 @@ def or_class_probs(s: float, thetas) -> np.ndarray:
     return _or_probs(_sigmoid(thetas - s)[None, :])[0]
 
 
-def _or_batch(model, batch):
-    if model.head != SCALAR or model.thetas is None:
-        raise HeadMismatch("OR needs a scalar head with thresholds")
-    return _stack(batch, model.dim)
-
-
 def loss_or(model: ScorerModel, batch) -> float:
     """Negative log likelihood of the observed agreement classes, summed."""
-    return _or_loss(model, *_or_batch(model, batch))
+    return _or_loss(model, *_batch(model, batch, "OR"))
 
 
 def grad_or(model: ScorerModel, batch):
-    return _or_grad(model, *_or_batch(model, batch))
+    return _or_grad(model, *_batch(model, batch, "OR"))
 
 
 def _one_tuple(model, tup):
-    X, a = _scalar_batch(model, tup, "RL")
+    X, a = _batch(model, tup, "RL")
     idx = np.arange(a.size)[None, :]
     if not np.array_equal(a, idx[0]):
         raise BadTuple("tuple must hold one sample per agreement level, in order")
@@ -395,7 +386,7 @@ class TrainResult:
 
 
 def _init_model(method: str, dim: int, k: int, rng) -> ScorerModel:
-    if method == "AC":
+    if _HEADS[method] == CATEGORICAL:
         return ScorerModel(
             head=CATEGORICAL,
             weights=rng.normal(0.0, 0.01, (k + 1, dim)),

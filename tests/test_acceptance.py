@@ -2,6 +2,7 @@
 pass/fail line. Tolerances are fixed here, not tuned elsewhere."""
 
 import itertools
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -482,3 +483,11 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert names1 == names2 and len(names1) >= 14
         for name in names1:
             assert (run1 / name).read_bytes() == (run2 / name).read_bytes(), name
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        twins = [name for name in names1 if name.endswith(".json")]
+        assert len(twins) >= 8
+        for name in twins:
+            json.loads((run1 / name).read_text(), parse_constant=refuse)

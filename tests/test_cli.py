@@ -503,6 +503,17 @@ class TestEvalCount:
         # img0 keeps 1 gt (a=7), img1 keeps 1: preds 2 and 1 -> mae (1+0)/2
         assert float(table["mae"]) == pytest.approx(0.5)
 
+    def test_agreement_above_k_names_k_the_file_and_the_image(self, tmp_path, capsys):
+        pred, gt = self.make_files(tmp_path)
+        io.write_detections_csv(gt, [("img0", 0, None, 7, Point2(5.0, 5.0)),
+                                     ("img1", 0, None, 9, Point2(4.0, 4.0))])
+        rc = main(["eval-count", "--pred", str(pred), "--gt", str(gt),
+                   "--min-agreement", "5", "--k", "7", "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--k 7" in err and str(gt) in err and "'img1'" in err and "agreement 9" in err
+        assert "Traceback" not in err
+
 
 class TestEvalDetect:
     def test_box_mode(self, tmp_path):
@@ -918,6 +929,80 @@ class TestSanitize:
         assert rc == 1
 
 
+class TestFloatOptions:
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(["sanitize-bboxes", "--in", "b.csv", "--alpha", "nan"], "--alpha",
+                     id="alpha-nan"),
+        pytest.param(["sanitize-bboxes", "--in", "b.csv", "--alpha", "-5"], "--alpha",
+                     id="alpha-negative"),
+        pytest.param(["sanitize-bboxes", "--in", "b.csv", "--alpha", "0"], "--alpha",
+                     id="alpha-zero"),
+        pytest.param(["sanitize-bboxes", "--in", "b.csv", "--alpha", "inf"], "--alpha",
+                     id="alpha-inf"),
+        pytest.param(["sanitize-bboxes", "--in", "b.csv", "--max-z", "nan"], "--max-z",
+                     id="max-z-nan"),
+        pytest.param(["simulate", "--scenario", "s.json", "--threshold", "inf"], "--threshold",
+                     id="threshold-inf"),
+        pytest.param(["simulate", "--scenario", "s.json", "--tau", "nan"], "--tau",
+                     id="tau-nan"),
+        pytest.param(["density", "--dots", "d.csv", "--width", "8", "--height", "8",
+                      "--sigma", "1", "--peaks", "2", "--min-value", "nan"], "--min-value",
+                     id="min-value-nan"),
+        pytest.param(["eval-count", "--pred", "p.csv", "--gt", "g.csv",
+                      "--score-threshold", "nan"], "--score-threshold", id="score-threshold-nan"),
+        pytest.param(["calibrate", "--correspondences", "c.csv", "--max-dist", "nan"],
+                     "--max-dist", id="max-dist-nan"),
+        pytest.param(["calibrate", "--correspondences", "c.csv", "--max-dist", "-inf"],
+                     "--max-dist", id="max-dist-minus-inf"),
+    ])
+    def test_refused_at_parse_time(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: meshcount ") and f"error: argument {option}: " in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_non_number_keeps_its_message(self, capsys):
+        assert main(["simulate", "--scenario", "s.json", "--tau", "abc", "--out", "r.csv"]) == 1
+        assert "error: argument --tau: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_every_float_option_refuses_nan(self):
+        import argparse
+
+        from meshcount.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        checked = set()
+        for parser in sub.choices.values():
+            for action in parser._actions:
+                assert action.type is not float, action.option_strings
+                if action.type not in (None, int):
+                    with pytest.raises(argparse.ArgumentTypeError):
+                        action.type("nan")
+                    checked.add(action.type)
+        assert len(checked) == 3
+
+    def test_inf_is_no_bound_for_max_z(self, tmp_path, capsys):
+        path = tmp_path / "boxes.csv"
+        path.write_text("h_s,w_s,z\n100.0,40.0,10.0\n100.0,40.0,1e90\n")
+        out = tmp_path / "out.csv"
+        rc = main(["sanitize-bboxes", "--in", str(path), "--alpha", "200.0", "--max-z", "inf",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert main(["sanitize-bboxes", "--help"]) == 0
+        assert "inf: no bound" in capsys.readouterr().out
+
+    def test_inf_is_no_cutoff_for_max_dist(self, tmp_path, capsys):
+        fa, fb = make_feature_files(tmp_path, np.random.default_rng(0))
+        rc = main(["calibrate", "--features-a", str(fa), "--features-b", str(fb),
+                   "--max-dist", "inf", "--out", str(tmp_path / "h.json")])
+        assert rc == 0
+        assert main(["calibrate", "--help"]) == 0
+        assert "inf: no cutoff" in capsys.readouterr().out
+
+
 class TestDistanceCheck:
     def test_pixel_positions_with_calibration(self, tmp_path, capsys):
         pos = tmp_path / "pos.csv"
@@ -997,9 +1082,14 @@ class TestDispatch:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dots.csv"]
 
     def test_every_command_is_registered(self):
-        from meshcount.cli import _COMMANDS
+        import argparse
 
-        assert sorted(_COMMANDS) == [
+        from meshcount.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == [
             "calibrate", "density", "distance-check", "eval-count", "eval-detect",
             "gen-scene", "rescore-eval", "rescore-train", "sanitize-bboxes", "simulate",
         ]
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("run")), name

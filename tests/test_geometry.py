@@ -732,6 +732,46 @@ class TestDistanceViolations:
         flat = [i for g in base for i in g]
         assert len(flat) == len(set(flat))
 
+    coordinate = st.one_of(st.floats(0.0, 5.0), st.sampled_from((1e200, -1e200)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(coordinate, coordinate), max_size=14), st.floats(0.1, 3.0))
+    def test_union_find_groups_as_the_search_does(self, coords, threshold):
+        pts = [Point2(x, y) for x, y in coords]
+        assert distance_violations(pts, threshold) == ref_distance_violations(pts, threshold)
+
+
+def ref_distance_violations(positions, threshold):
+    """distance_violations as a depth-first search over the violation graph."""
+    pts = np.array([[p.x, p.y] for p in positions], dtype=float)
+    n = pts.shape[0]
+    if n == 0:
+        return []
+    with np.errstate(over="ignore"):  # an overflowing distance is +inf: never violates
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    adj = dist < threshold
+    np.fill_diagonal(adj, False)
+
+    seen = np.zeros(n, dtype=bool)
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            k = stack.pop()
+            comp.append(k)
+            for m in np.nonzero(adj[k])[0]:
+                if not seen[m]:
+                    seen[m] = True
+                    stack.append(int(m))
+        if len(comp) >= 2:
+            groups.append(sorted(comp))
+    groups.sort(key=lambda g: g[0])
+    return groups
+
 
 # -- reference oracle: the polygon kernel with np.roll and the pairwise segment test --
 
